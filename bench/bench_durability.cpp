@@ -130,7 +130,7 @@ int main() {
   double t_append = timed([&] {
     for (size_t b = 0; b < kBatches; b++) {
       uint64_t t0 = obs::now_ns();
-      if (d.log_batch(~uint32_t{0}, batches[b], no_dels) == 0) {
+      if (d.log_batch(batches[b], no_dels) == 0) {
         std::printf("ERROR: WAL writer died mid-bench\n");
         std::exit(2);
       }

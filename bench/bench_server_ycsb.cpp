@@ -217,15 +217,19 @@ int main() {
                 "", "  latency", single.p50_ns, single.p99_ns,
                 combined.p50_ns, combined.p99_ns);
 
-    auto st = store.ingest_stats();
+    // Ingest counts from the scrape: this store is the only live combiner,
+    // so the pam_combiner_* sums are its own (zero with PAM_METRICS=OFF).
+    uint64_t enqueued = 0, committed = 0, batches = 0;
+    for (const auto& c : store.metrics().counters) {
+      if (c.name == "pam_combiner_ops_enqueued_total") enqueued += c.value;
+      if (c.name == "pam_combiner_ops_committed_total") committed += c.value;
+      if (c.name == "pam_combiner_batches_flushed_total") batches += c.value;
+    }
     std::printf("%-12s %-14s enqueued=%llu committed=%llu batches=%llu "
                 "(avg batch %.0f)\n\n",
-                "", "  ingest",
-                (unsigned long long)st.ops_enqueued,
-                (unsigned long long)st.ops_committed,
-                (unsigned long long)st.batches_flushed,
-                st.batches_flushed ? double(st.ops_committed) / double(st.batches_flushed)
-                                   : 0.0);
+                "", "  ingest", (unsigned long long)enqueued,
+                (unsigned long long)committed, (unsigned long long)batches,
+                batches ? double(committed) / double(batches) : 0.0);
   }
 
   // --- read-mostly (95/5) reader scaling under a continuous writer ---------

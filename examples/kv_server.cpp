@@ -66,14 +66,19 @@ int main() {
   analytics.join();
   store.flush();  // barrier: every ingested event is committed
 
-  auto st = store.ingest_stats();
+  // Ingest counts come from the metrics scrape (all zero in a
+  // PAM_METRICS=OFF build, which records nothing).
+  uint64_t enqueued = 0, committed = 0, batches = 0;
+  for (const auto& c : store.metrics().counters) {
+    if (c.name == "pam_combiner_ops_enqueued_total") enqueued += c.value;
+    if (c.name == "pam_combiner_ops_committed_total") committed += c.value;
+    if (c.name == "pam_combiner_batches_flushed_total") batches += c.value;
+  }
   std::printf("ingest: %llu ops enqueued -> %llu committed in %llu batches "
               "(avg %.0f ops/batch)\n",
-              (unsigned long long)st.ops_enqueued,
-              (unsigned long long)st.ops_committed,
-              (unsigned long long)st.batches_flushed,
-              st.batches_flushed ? double(st.ops_committed) / double(st.batches_flushed)
-                                 : 0.0);
+              (unsigned long long)enqueued, (unsigned long long)committed,
+              (unsigned long long)batches,
+              batches ? double(committed) / double(batches) : 0.0);
 
   // Top page in a key range via the stitched views, lazily (no copies).
   auto snap = store.snapshot();

@@ -42,11 +42,10 @@ struct aug_ops : map_ops<Entry, Balance> {
   // is cached at the root.
   static A aug_val(const node* t) { return aug_of(t); }
 
-  // Fold g over es[a, b) (the partial-block boundary case): vectorized over
-  // the value lanes for hinted integer monoids (pam/block_fold.h), a plain
-  // base/combine loop otherwise.
+  // Fold g over es[a, b) (the partial-block boundary case) with the same
+  // grouped fold that seals blocks (entry_traits.h).
   static A fold_entries(const entry_t* es, size_t a, size_t b) {
-    return fold_entries_fast<traits, Entry>(es, a, b);
+    return fold_entries_assoc<traits>(es, a, b);
   }
 
   // AUGLEFT(t, k): augmented value of all entries with key <= k

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "alloc/leaf_pool.h"
-#include "pam/block_fold.h"
 #include "pam/entry_traits.h"
 #include "util/thread_annotations.h"
 
@@ -175,7 +174,7 @@ struct coded_store {
     for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
 
     if constexpr (traits::has_aug) {
-      new (&b->aug) A(fold_entries_fast<traits, Entry>(es, 0, n));
+      new (&b->aug) A(fold_entries_assoc<traits>(es, 0, n));
     } else {
       new (&b->aug) A();
     }
@@ -247,7 +246,7 @@ struct coded_store {
       std::vector<entry_t> es;
       es.reserve(count);
       decode_all(b, es);
-      new (&b->aug) A(fold_entries_fast<traits, Entry>(es.data(), 0, count));
+      new (&b->aug) A(fold_entries_assoc<traits>(es.data(), 0, count));
     } else {
       new (&b->aug) A();
     }

@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "alloc/leaf_pool.h"
-#include "pam/block_fold.h"
 #include "pam/entry_traits.h"
 #include "util/thread_annotations.h"
 
@@ -273,7 +272,7 @@ struct delta_store {
     }
 
     if constexpr (traits::has_aug) {
-      new (&b->aug) A(fold_entries_fast<traits, Entry>(es, 0, n));
+      new (&b->aug) A(fold_entries_assoc<traits>(es, 0, n));
     } else {
       new (&b->aug) A();
     }
@@ -346,7 +345,7 @@ struct delta_store {
       std::vector<entry_t> es;
       es.reserve(count);
       decode_all(b, es);
-      new (&b->aug) A(fold_entries_fast<traits, Entry>(es.data(), 0, count));
+      new (&b->aug) A(fold_entries_assoc<traits>(es.data(), 0, count));
     } else {
       new (&b->aug) A();
     }

@@ -7,7 +7,6 @@
 #include <limits>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "pam/entry_traits.h"
 
@@ -44,9 +43,6 @@ template <typename K, typename V, typename Less = std::less<K>>
 struct map_entry {
   using key_t = K;
   using val_t = V;
-  // True iff keys order by the default operator< — the licence for the
-  // in-block vector search to compare raw key bits (pam/block_search.h).
-  static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
 };
 
@@ -57,12 +53,6 @@ struct sum_entry {
   using key_t = K;
   using val_t = V;
   using aug_t = V;
-  static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
-  // combine is integer/float addition: the hint licenses the vectorized
-  // block fold (pam/block_fold.h), which additionally requires a 64-bit
-  // *integral* aug_t before taking the data-parallel path — float sums keep
-  // the grouped scalar fold, so regrouping never changes a float result.
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::sum;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
   static aug_t identity() { return V{}; }
   static aug_t base(const K&, const V& v) { return v; }
@@ -77,8 +67,6 @@ struct max_entry {
   using key_t = K;
   using val_t = V;
   using aug_t = V;
-  static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::max;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
   static aug_t identity() { return extreme_values<V>::lowest(); }
   static aug_t base(const K&, const V& v) { return v; }
@@ -93,8 +81,6 @@ struct min_entry {
   using key_t = K;
   using val_t = V;
   using aug_t = V;
-  static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::min;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
   static aug_t identity() { return extreme_values<V>::highest(); }
   static aug_t base(const K&, const V& v) { return v; }
@@ -136,7 +122,6 @@ struct str_max_entry {
   using val_t = V;
   using aug_t = V;
   static constexpr key_layout layout = key_layout::front_coded;
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::max;
   static bool comp(std::string_view a, std::string_view b) { return a < b; }
   static aug_t identity() { return extreme_values<V>::lowest(); }
   static aug_t base(const key_t&, const V& v) { return v; }

@@ -77,31 +77,6 @@ struct entry_layout<Entry, std::void_t<decltype(Entry::layout)>> {
 template <typename Entry>
 inline constexpr key_layout entry_layout_v = entry_layout<Entry>::value;
 
-// ------------------------------------------------------------- fold hints --
-
-// Optional self-description of an Entry's combine: policies whose `combine`
-// is exactly the named integer monoid may declare
-//   static constexpr aug_fold_kind fold_hint = aug_fold_kind::sum;
-// which licenses the vectorized block fold (pam/block_fold.h) to replace the
-// grouped fold_entries_assoc with a data-parallel reduction. Only *exactly
-// associative* monoids qualify — float sums change value under regrouping,
-// so they must never declare a hint. Everything without the declaration
-// keeps the scalar grouped fold.
-enum class aug_fold_kind { none, sum, max, min };
-
-template <typename Entry, typename = void>
-struct entry_fold_hint {
-  static constexpr aug_fold_kind value = aug_fold_kind::none;
-};
-
-template <typename Entry>
-struct entry_fold_hint<Entry, std::void_t<decltype(Entry::fold_hint)>> {
-  static constexpr aug_fold_kind value = Entry::fold_hint;
-};
-
-template <typename Entry>
-inline constexpr aug_fold_kind entry_fold_hint_v = entry_fold_hint<Entry>::value;
-
 // ------------------------------------------------------------ block fold --
 
 // Monoid fold over es[a, b) in left-to-right order, combining adjacent pairs
@@ -109,7 +84,9 @@ inline constexpr aug_fold_kind entry_fold_hint_v = entry_fold_hint<Entry>::value
 // associativity of `combine` (the Figure 3 contract — no commutativity), but
 // breaks the single serial dependency chain of a naive loop into independent
 // sub-folds, which lets simple numeric monoids (sum/min/max) vectorize and
-// gives the rest instruction-level parallelism.
+// gives the rest instruction-level parallelism. The compiler's vectorization
+// of this loop is the only block-fold strategy: every sealing, auditing and
+// boundary site calls it, so they all agree on the grouping.
 template <typename Traits, typename ET>
 typename Traits::aug_t fold_entries_assoc(const ET* es, size_t a, size_t b) {
   using A = typename Traits::aug_t;

@@ -123,6 +123,15 @@ struct reader {
   uint16_t u16() { return pod<uint16_t>(); }
   uint32_t u32() { return pod<uint32_t>(); }
   uint64_t u64() { return pod<uint64_t>(); }
+
+  // A u32 element count, rejected when it exceeds the bytes left: every
+  // encoded element takes at least one byte, so a larger count is corrupt
+  // and must not reach a reserve() as a multi-gigabyte request.
+  uint32_t count() {
+    uint32_t n = u32();
+    if (n > remaining()) throw error("pam::wire: count exceeds input");
+    return n;
+  }
 };
 
 // Per-field value codec: trivially copyable types travel raw; std::string
@@ -341,6 +350,8 @@ struct map_codec {
   static node* read_record(uint8_t kind, uint32_t count, const char* payload,
                            uint32_t len, K& first, K& last) {
     if (count == 0) throw wire::error("map_codec: empty record");
+    // Every entry takes at least one payload byte (wire::reader::count).
+    if (count > len) throw wire::error("map_codec: count exceeds payload");
     switch (kind) {
       case kRun: {
         wire::reader pr(payload, len);

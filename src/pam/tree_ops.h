@@ -821,10 +821,9 @@ struct tree_ops : node_manager<Entry, Balance> {
     if (t == nullptr) return true;
     if (is_chunk(t)) {
       auto bv = NM::read_block(t->blk);
-      // Must agree with the stores' fold (seal/build): hinted integer
-      // monoids are exact under any grouping, and everything else takes the
-      // same grouped fold, so floats compare equal too.
-      A block_expect = fold_entries_fast<traits, Entry>(bv.data(), 0, bv.size());
+      // Must agree with the stores' fold (seal/build): both take the same
+      // grouped fold, so floats compare equal too.
+      A block_expect = fold_entries_assoc<traits>(bv.data(), 0, bv.size());
       if (!(t->blk->aug == block_expect)) return false;
     }
     A expect = traits::combine(aug_of(t->left),

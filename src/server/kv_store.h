@@ -148,19 +148,17 @@ class kv_store {
     if (durable_) durable_->sync_wal();
   }
 
-  // Bulk writes bypass the combiner: they are already batches, and commit
-  // before returning. Mixing bulk and buffered writes to the same key is
-  // racy by construction — flush() first if ordering matters. On a durable
-  // store each bulk call is one WAL record, logged before it is applied.
-  void put_batch(std::vector<entry_t> updates) PAM_EXCLUDES(cut_mu_) {
-    shared_guard fence(cut_mu_);
-    log_bulk(updates, {});
-    shards_.multi_insert(std::move(updates));
+  // Bulk writes are already batches: they skip the buffers but ride the
+  // combiner's locks (write_combiner::commit_bulk) and commit before
+  // returning. A put/erase issued before a bulk call on the same key lands
+  // before it, one issued after it returns lands after it — put(k, 1) then
+  // put_batch({{k, 2}}) leaves k = 2. On a durable store each bulk call is
+  // one WAL record, logged before it is applied.
+  void put_batch(std::vector<entry_t> updates) {
+    combiner_.commit_bulk(std::move(updates), {});
   }
-  void erase_batch(std::vector<K> keys) PAM_EXCLUDES(cut_mu_) {
-    shared_guard fence(cut_mu_);
-    log_bulk({}, keys);
-    shards_.multi_delete(std::move(keys));
+  void erase_batch(std::vector<K> keys) {
+    combiner_.commit_bulk({}, std::move(keys));
   }
 
   // -------------------------------------------------------------- reads --
@@ -218,17 +216,17 @@ class kv_store {
   // version retained by the ring (version_store::capture_snapshot).
   //
   // The (sync → read covered → snapshot) triple runs inside a writer
-  // fence: every shard flush lock is held (write_combiner::quiesced) and
-  // cut_mu_ is held exclusive, so no batch — combiner or bulk — can sit
-  // between its WAL append and its apply while the cut is taken. Without
-  // the fence a record with seq <= covered could be durable but not yet
-  // applied, and the committed checkpoint would claim coverage of a batch
-  // it lacks — wal_replay skips seq <= covered, silently losing the acked
-  // batch after the next crash. Writers are only blocked for the cut
-  // itself (O(shards) root grabs + one group fsync); serialization and
+  // fence: every shard flush lock is held (write_combiner::quiesced), and
+  // every write — buffered or bulk — logs and applies under flush locks, so
+  // no batch can sit between its WAL append and its apply while the cut is
+  // taken. Without the fence a record with seq <= covered could be durable
+  // but not yet applied, and the committed checkpoint would claim coverage
+  // of a batch it lacks — wal_replay skips seq <= covered, silently losing
+  // the acked batch after the next crash. Writers are only blocked for the
+  // cut itself (O(shards) root grabs + one group fsync); serialization and
   // commit run outside the fence, concurrent with new writes.
   typename store::durability<Map>::ckpt_result save_checkpoint()
-      PAM_EXCLUDES(cut_mu_, ckpt_mu_) {
+      PAM_EXCLUDES(ckpt_mu_) {
     require_durable();
     // Serializing checkpoints end-to-end keeps covered_wal_seq monotone
     // across the durability manager's commits: were two cuts to commit in
@@ -238,16 +236,13 @@ class kv_store {
     combiner_.flush_all();  // drain the bulk of the backlog outside the fence
     uint64_t covered = 0;
     std::optional<snapshot_type> cut;
-    {
-      exclusive_guard fence(cut_mu_);
-      combiner_.quiesced([&] {
-        durable_->sync_wal();
-        covered = durable_->durable_seq();
-        cut.emplace(history_.has_value()
-                        ? history_->capture_snapshot().snapshot
-                        : shards_.snapshot_all());
-      });
-    }
+    combiner_.quiesced([&] {
+      durable_->sync_wal();
+      covered = durable_->durable_seq();
+      cut.emplace(history_.has_value()
+                      ? history_->capture_snapshot().snapshot
+                      : shards_.snapshot_all());
+    });
     return durable_->save_checkpoint(*cut, covered);
   }
 
@@ -289,12 +284,10 @@ class kv_store {
 
   sharded_map<Map>& shards() { return shards_; }
   const sharded_map<Map>& shards() const { return shards_; }
-  typename write_combiner<Map>::stats_snapshot ingest_stats() const {
-    return combiner_.stats();
-  }
 
   // The full observability scrape (PR 9): every registered metric in the
-  // process — this store's combiner/WAL/checkpoint series, the global
+  // process — this store's combiner/WAL/checkpoint series (ingest counts
+  // are the pam_combiner_* counters), the global
   // cut/epoch/arena/scheduler series — merged by (name, label), plus this
   // store's per-shard entry counts refreshed as pam_shard_entries{shard="s"}
   // gauges. With PAM_METRICS=0 the snapshot is empty.
@@ -392,7 +385,8 @@ class kv_store {
     }
   }
 
-  // Chain the WAL onto the combiner's pre-visibility hook: a batch that
+  // Chain the WAL onto the combiner's pre-visibility hook — the one path
+  // every write, buffered or bulk, reaches the log through: a batch that
   // cannot be logged is never applied (the sink throws, the combiner drops
   // it and counts a sink_failure). A user-supplied sink still runs, before
   // the log — its failure also keeps the batch out of both.
@@ -402,24 +396,15 @@ class kv_store {
       auto prior = std::move(cfg.batch_sink);
       auto* d = durable_.get();
       cfg.batch_sink = [d, prior = std::move(prior)](
-                           size_t s, const std::vector<entry_t>& ups,
+                           const std::vector<entry_t>& ups,
                            const std::vector<K>& dels) {
-        if (prior) prior(s, ups, dels);
-        if (d->log_batch(static_cast<uint32_t>(s), ups, dels) == 0) {
+        if (prior) prior(ups, dels);
+        if (d->log_batch(ups, dels) == 0) {
           throw store::io_error("kv_store: WAL writer is dead, batch unacked");
         }
       };
     }
     return cfg;
-  }
-
-  // Bulk writes don't ride the combiner, so they log their own record
-  // (shard field = ~0: routing is rederived from splitters at recovery).
-  void log_bulk(const std::vector<entry_t>& ups, const std::vector<K>& dels) {
-    if (!durable_) return;
-    if (durable_->log_batch(~uint32_t{0}, ups, dels) == 0) {
-      throw store::io_error("kv_store: WAL writer is dead, batch unacked");
-    }
   }
 
   // Create (lazily, growing on demand) and refresh the
@@ -469,14 +454,6 @@ class kv_store {
   }
 
   sharded_map<Map> shards_;
-  // The checkpoint-cut writer fence. Bulk writes hold it shared across
-  // their [WAL log → apply] pair; save_checkpoint holds it exclusive while
-  // it reads durable_seq and snapshots (combiner batches need no share —
-  // their log→apply pair lives under the shard flush locks, which the
-  // exclusive section also holds via write_combiner::quiesced). Ordered
-  // before the flush locks; nothing is PAM_GUARDED_BY it — it fences an
-  // ordering, not data.
-  mutable shared_mutex cut_mu_;
   // Serializes save_checkpoint callers so coverage claims reach the
   // durability manager in monotone order (see save_checkpoint).
   mutex ckpt_mu_;

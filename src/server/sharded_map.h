@@ -786,9 +786,7 @@ class sharded_map {
       server_internal::cut_metrics().retries.inc();
     }
     server_internal::cut_metrics().fallbacks.inc();
-    std::vector<std::unique_lock<mutex>> locks;
-    locks.reserve(shards.size());
-    for (const auto& sh : shards) locks.push_back(sh->box.writer_lock());
+    auto locks = lock_all_shards(shards);
     values.clear();
     versions.clear();
     for (const auto& sh : shards) {
@@ -819,6 +817,19 @@ class sharded_map {
     auto cut = validated_cut(d.shards, optimistic, pinned);
     return std::tuple(std::move(d), std::move(cut.first),
                       std::move(cut.second));
+  }
+
+  // Writer locks on every shard of one directory, taken in index order: the
+  // one global order the cut fallback and the rebalance install share, so
+  // the two compose without deadlock. The returned set is dynamic, which
+  // the lexical analysis cannot follow — the callers that peek() under it
+  // carry the opt-out, this helper needs none.
+  static std::vector<std::unique_lock<mutex>> lock_all_shards(
+      const std::vector<std::shared_ptr<shard_t>>& shards) {
+    std::vector<std::unique_lock<mutex>> locks;
+    locks.reserve(shards.size());
+    for (const auto& sh : shards) locks.push_back(sh->box.writer_lock());
+    return locks;
   }
 
   // Pass 2 of a validated cut: true iff no shard's commit counter moved
@@ -892,7 +903,7 @@ class sharded_map {
       if (counts[s] == 0) loads[s] = 0.0;  // nothing to cut inside
       total += loads[s];
     }
-    if (total <= 0.0) return quantile_splitters_of(whole, target);
+    if (total <= 0.0) return quantile_splitters(whole, target);
     std::vector<size_t> rank_before(loads.size(), 0);
     for (size_t s = 1; s < loads.size(); s++)
       rank_before[s] = rank_before[s - 1] + counts[s - 1];
@@ -915,27 +926,21 @@ class sharded_map {
     return sp;
   }
 
-  static std::vector<K> quantile_splitters_of(const Map& m, size_t target) {
-    return quantile_splitters(m, target);
-  }
-
   // The install engine behind maybe_rebalance / rebalance_now. Excludes
   // every writer of the current directory (box locks in index order — the
   // same global order as the cut fallback), retires the shards, cuts
   // equal-load splitters over the frozen content, distributes into a fresh
   // directory, publishes it, and epoch-retires the predecessor.
   //
-  // NO_THREAD_SAFETY_ANALYSIS: holds the dynamic writer-lock set (vector of
-  // unique_locks) the lexical model cannot express — same opt-out and TSan
-  // coverage as validated_cut's fallback.
+  // NO_THREAD_SAFETY_ANALYSIS: peeks under the dynamic writer-lock set
+  // (lock_all_shards) the lexical model cannot express — same opt-out and
+  // TSan coverage as validated_cut's fallback.
   bool install_balanced_locked() PAM_REQUIRES(rebalance_mu_)
       PAM_NO_THREAD_SAFETY_ANALYSIS {
     server_internal::rebalance_metrics().attempts.inc();
     obs::span span("sharded.rebalance");
     directory* old = dir_locked();
-    std::vector<std::unique_lock<mutex>> locks;
-    locks.reserve(old->shards.size());
-    for (const auto& sh : old->shards) locks.push_back(sh->box.writer_lock());
+    auto locks = lock_all_shards(old->shards);
     // All writers excluded: the shards are frozen. Peek (no refcount bump
     // needed for the reads below, but parts are retained across the joins).
     std::vector<double> loads;

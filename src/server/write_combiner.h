@@ -8,7 +8,9 @@
 // appended to a small per-shard pending buffer, and a buffer is flushed as
 // one multi_insert + multi_delete batch when it reaches `batch_size`, when
 // the background flusher's `flush_interval` tick fires, or on an explicit
-// flush_all().
+// flush_all(). Caller-built batches (kv_store::put_batch / erase_batch)
+// enter through commit_bulk() and ride the same locks and the same sink, so
+// every write reaches the target — and the log — on one path.
 //
 // Semantics:
 //   * Per-key last-writer-wins within a batch: before applying, a batch is
@@ -18,7 +20,9 @@
 //   * No lost updates: enqueue appends under the shard's buffer lock, and a
 //     per-shard flush lock is held across [swap buffer out → commit], so
 //     batches of one shard commit in enqueue order and a later batch can
-//     never overtake an earlier one.
+//     never overtake an earlier one. A bulk commit first drains the queues
+//     it touches under their flush locks, so it lands after every op
+//     enqueued on its keys before it was called.
 //   * Visibility: reads through the sharded_map see committed state only;
 //     each per-shard slice of a flushed batch becomes visible in one atomic
 //     epoch-protected root publication (snapshot_box::update_if), so
@@ -45,7 +49,7 @@
 //     every later upsert/erase bypasses the (now permanently drained)
 //     buffers and commits as a point write.
 //
-// Thread safety: upsert / erase / flush_all / shutdown / stats may be
+// Thread safety: upsert / erase / commit_bulk / flush_all / shutdown may be
 // called from any number of threads concurrently. Only the destructor
 // itself must be externally synchronized with other member calls (standard
 // C++ object lifetime), which is why kv_store declares the combiner after
@@ -87,22 +91,16 @@ class write_combiner {
     // Background flusher period; zero disables the flusher thread (flushes
     // then happen only on batch_size overflow and explicit flush_all).
     std::chrono::milliseconds flush_interval{2};
-    // Durability hook: called with each coalesced batch under the shard's
-    // flush lock, BEFORE the batch is applied to the target — so a batch is
-    // never visible to readers unless it was offered to the log first. A
-    // throwing sink aborts the commit (the batch is dropped, the exception
-    // propagates to whoever drove the flush): crash semantics, exercised by
-    // the fault-injection tests. Empty = no durability (the default).
-    std::function<void(size_t shard, const std::vector<entry_t>& upserts,
+    // Durability hook: called with each coalesced batch and each bulk
+    // commit under the flush locks it holds, BEFORE the batch is applied to
+    // the target — so a batch is never visible to readers unless it was
+    // offered to the log first. A throwing sink aborts the commit (the
+    // batch is dropped, the exception propagates to whoever drove the
+    // flush): crash semantics, exercised by the fault-injection tests.
+    // Empty = no durability (the default).
+    std::function<void(const std::vector<entry_t>& upserts,
                        const std::vector<K>& deletes)>
         batch_sink{};
-  };
-
-  struct stats_snapshot {
-    uint64_t ops_enqueued;    // upserts + erases accepted
-    uint64_t ops_committed;   // ops surviving coalescing, applied to shards
-    uint64_t batches_flushed; // non-empty batch commits
-    uint64_t sink_failures;   // batches dropped because batch_sink threw
   };
 
   explicit write_combiner(sharded_map<Map>& target, config cfg = {})
@@ -149,6 +147,30 @@ class write_combiner {
   // Enqueue a point delete.
   void erase(const K& k) { enqueue(k, std::nullopt); }
 
+  // Commit a caller-built batch before returning, on the buffered ops'
+  // path: under the flush locks of every queue the batch touches, those
+  // queues' pending ops commit first, then the batch goes to batch_sink in
+  // ONE call (one log record) and is applied. An op enqueued on one of its
+  // keys before this call therefore lands before it, one enqueued after it
+  // returns lands after it, and quiesced() — which holds every flush lock —
+  // never sees it between its sink call and its apply. The lists are
+  // neither coalesced nor counted as enqueued ops; duplicates follow the
+  // target's multi_insert / multi_delete semantics.
+  void commit_bulk(std::vector<entry_t> upserts, std::vector<K> deletes) {
+    std::vector<bool> touched(queues_.size(), false);
+    for (const entry_t& e : upserts) touched[queue_of(e.first)] = true;
+    for (const K& k : deletes) touched[queue_of(k)] = true;
+    std::vector<size_t> locked;
+    for (size_t s = 0; s < touched.size(); s++) {
+      if (touched[s]) locked.push_back(s);
+    }
+    if (locked.empty()) return;  // nothing to log or apply
+    auto commit = [&] {
+      sink_and_apply(std::move(upserts), std::move(deletes));
+    };
+    drain_locked(locked, 0, commit);
+  }
+
   // Commit every pending op. On return, all ops enqueued before this call
   // are visible to sharded_map readers.
   void flush_all() {
@@ -156,26 +178,17 @@ class write_combiner {
   }
 
   // Flush every shard, then run `fn` while ALL shard flush locks are held.
-  // While `fn` runs no batch can sit between its batch_sink call (the WAL
-  // append) and its apply to the target — the two happen under the same
-  // per-shard flush lock — and no new batch can commit until it returns.
-  // This is the consistency fence kv_store::save_checkpoint cuts its
-  // durable checkpoint on: inside `fn`, the target reflects exactly the
-  // batches the sink has seen. Locks are taken in shard-index order (the
-  // only place more than one flush lock is ever held); `fn` must not
-  // re-enter the combiner.
+  // While `fn` runs no batch — buffered or bulk — can sit between its
+  // batch_sink call (the WAL append) and its apply to the target: both
+  // happen under flush locks, and no new batch can commit until `fn`
+  // returns. This is the consistency fence kv_store::save_checkpoint cuts
+  // its durable checkpoint on: inside `fn`, the target reflects exactly
+  // the batches the sink has seen. `fn` must not re-enter the combiner.
   template <typename Fn>
   void quiesced(Fn&& fn) {
-    quiesce_from(0, fn);
-  }
-
-  // A point-in-time view over this instance's registry counters: the
-  // registry is the single source of truth (PR 9), this struct is the
-  // compatibility surface older callers keep using. With PAM_METRICS=0 the
-  // counters are no-ops and every field reads zero.
-  stats_snapshot stats() const {
-    return {ops_enqueued_.value(), ops_committed_.value(),
-            batches_flushed_.value(), sink_failures_.value()};
+    std::vector<size_t> all(queues_.size());
+    for (size_t s = 0; s < all.size(); s++) all[s] = s;
+    drain_locked(all, 0, fn);
   }
 
  private:
@@ -193,10 +206,7 @@ class write_combiner {
   };
 
   void enqueue(const K& k, std::optional<V> v) {
-    // Routed by the pinned construction-time splitters, NOT the live
-    // directory: the queue index must be stable across rebalances so both
-    // ops of a same-key pair always serialize on one flush lock.
-    size_t s = server_internal::shard_index(*routing_, k, entry_policy::comp);
+    size_t s = queue_of(k);
     shard_queue& q = *queues_[s];
     bool buffered = false;
     bool overflow = false;
@@ -222,10 +232,17 @@ class write_combiner {
       mutex_guard serialize(q.flush_mu);
       auto [batch, oldest] = swap_out(q);
       batch.emplace_back(k, std::move(v));
-      commit_batch(q, s, std::move(batch), oldest);
+      commit_batch(q, std::move(batch), oldest);
       return;
     }
     if (overflow) flush_shard(s);
+  }
+
+  // Routed by the pinned construction-time splitters, NOT the live
+  // directory: the queue index must be stable across rebalances so every op
+  // on a key — buffered or bulk — serializes on one flush lock.
+  size_t queue_of(const K& k) const {
+    return server_internal::shard_index(*routing_, k, entry_policy::comp);
   }
 
   // Drain the shard's buffer; returns (batch, enqueue time of its oldest
@@ -248,7 +265,7 @@ class write_combiner {
   // contract is an annotation, not just this comment: calling it unlocked
   // (which would let a later batch overtake this one) fails to compile
   // under clang -Wthread-safety.
-  void commit_batch(shard_queue& q, size_t s, std::vector<op_t> batch,
+  void commit_batch(shard_queue& q, std::vector<op_t> batch,
                     uint64_t oldest_ns = 0) PAM_REQUIRES(q.flush_mu) {
     (void)q;
     if (batch.empty()) return;
@@ -258,43 +275,51 @@ class write_combiner {
       enqueue_to_flush_ns_.record(obs::now_ns() - oldest_ns);
     }
     auto [upserts, deletes] = coalesce(std::move(batch));
+    size_t ops = upserts.size() + deletes.size();
+    sink_and_apply(std::move(upserts), std::move(deletes));
+    ops_committed_.inc(ops);
+    batches_flushed_.inc();
+  }
+
+  // The one commit step every write takes, always under the flush locks of
+  // the queues its keys route to: offer the batch to the sink, then apply
+  // it. The log therefore sees each queue's batches in the same order
+  // readers will, and a sink failure keeps the batch out of the target
+  // entirely — it was never acked, so losing it is correct.
+  void sink_and_apply(std::vector<entry_t> upserts, std::vector<K> deletes) {
     if (cfg_.batch_sink) {
-      // Still under q.flush_mu: the log sees this shard's batches in the
-      // same order readers will, and a sink failure keeps the batch out of
-      // the target entirely — it was never acked, so losing it is correct.
       try {
-        cfg_.batch_sink(s, upserts, deletes);
+        cfg_.batch_sink(upserts, deletes);
       } catch (...) {
         sink_failures_.inc();
         throw;
       }
     }
-    ops_committed_.inc(upserts.size() + deletes.size());
-    batches_flushed_.inc();
     // Apply through the live-directory bulk path: the target partitions
     // each list against whatever directory is current and transparently
-    // re-routes around a concurrent rebalance. Coalescing put each key in
-    // exactly one of the two lists, so the apply order between them is
-    // immaterial.
+    // re-routes around a concurrent rebalance. Upserts apply before
+    // deletes; a coalesced batch puts each key in only one of the two.
     if (!upserts.empty()) target_.multi_insert(std::move(upserts));
     if (!deletes.empty()) target_.multi_delete(std::move(deletes));
   }
 
-  // quiesced()'s lock-accumulating walk: flush shard s under its flush
-  // lock, keep the lock, recurse to s+1, and run fn once every shard's
-  // lock is held. Recursion keeps each acquisition lexical, so clang's
-  // thread-safety analysis tracks the whole dynamic lock set.
+  // The lock-accumulating walk behind quiesced() and commit_bulk(): flush
+  // queue idx[i] under its flush lock, keep the lock, recurse to i+1, and
+  // run fn once every listed lock is held. `idx` ascends, so every
+  // multi-lock holder takes flush locks in one global order. Recursion
+  // keeps each acquisition lexical, so clang's thread-safety analysis
+  // tracks the whole dynamic lock set.
   template <typename Fn>
-  void quiesce_from(size_t s, Fn& fn) {
-    if (s == queues_.size()) {
+  void drain_locked(const std::vector<size_t>& idx, size_t i, Fn& fn) {
+    if (i == idx.size()) {
       fn();
       return;
     }
-    shard_queue& q = *queues_[s];
+    shard_queue& q = *queues_[idx[i]];
     mutex_guard serialize(q.flush_mu);
     auto [batch, oldest] = swap_out(q);
-    commit_batch(q, s, std::move(batch), oldest);
-    quiesce_from(s + 1, fn);
+    commit_batch(q, std::move(batch), oldest);
+    drain_locked(idx, i + 1, fn);
   }
 
   void flush_shard(size_t s) {
@@ -304,7 +329,7 @@ class write_combiner {
     // batch boundaries (no later batch overtakes an earlier one).
     mutex_guard serialize(q.flush_mu);
     auto [batch, oldest] = swap_out(q);
-    commit_batch(q, s, std::move(batch), oldest);
+    commit_batch(q, std::move(batch), oldest);
   }
 
   // Keep only the latest op per key (stable sort by key preserves enqueue
@@ -356,9 +381,10 @@ class write_combiner {
   std::shared_ptr<const std::vector<K>> routing_;
   std::vector<std::unique_ptr<shard_queue>> queues_;
 
-  // Registry-backed instrumentation (PR 9). These are per-instance members
-  // — two combiners register under the same names and the scrape sums them
-  // Prometheus-style — and the source of truth behind stats().
+  // Registry-backed instrumentation, read through the metrics scrape
+  // (kv_store::metrics()). These are per-instance members — two combiners
+  // register under the same names and the scrape sums them
+  // Prometheus-style. Bulk commits count only in sink_failures_.
   obs::counter ops_enqueued_{"pam_combiner_ops_enqueued_total"};
   obs::counter ops_committed_{"pam_combiner_ops_committed_total"};
   obs::counter batches_flushed_{"pam_combiner_batches_flushed_total"};

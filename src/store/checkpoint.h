@@ -252,12 +252,12 @@ struct checkpoint_io {
     manifest_t m;
     m.id = r.u64();
     m.covered_wal_seq = r.u64();
-    uint32_t nsp = r.u32();
+    uint32_t nsp = r.count();
     m.splitters.reserve(nsp);
     for (uint32_t i = 0; i < nsp; i++) {
       m.splitters.push_back(wire::field_codec<K>::read(r));
     }
-    uint32_t nf = r.u32();
+    uint32_t nf = r.count();
     m.files.reserve(nf);
     for (uint32_t i = 0; i < nf; i++) {
       uint8_t kind = r.u8();

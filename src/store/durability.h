@@ -1,9 +1,9 @@
 // The durability manager: glues the WAL and the checkpoint writer into one
 // object the server owns.
 //
-//   log_batch        encode one write-combiner batch as a WAL record and
-//                    append it (group fsync per wal_config); the returned
-//                    seq is what "acked" means
+//   log_batch        encode one write-combiner batch (buffered or bulk) as
+//                    a WAL record and append it (group fsync per
+//                    wal_config); the returned seq is what "acked" means
 //   save_checkpoint  persist a consistent cut — full or incremental per
 //                    policy — commit it, then truncate WAL segments the
 //                    new checkpoint covers
@@ -112,12 +112,15 @@ class durability {
   // ------------------------------------------------------------- logging --
 
   // WAL record payload for one batch:
-  //   [ u32 shard | u32 n_ups | u32 n_dels | entries... | keys... ]
+  //   [ u32 0 | u32 n_ups | u32 n_dels | entries... | keys... ]
+  // The leading u32 is reserved: written as 0 and ignored on replay
+  // (routing is rederived from splitters at reload). It keeps the layout
+  // that existing WAL directories were written in.
   // Returns the record's seq, or 0 when the writer is dead (batch unacked).
-  uint64_t log_batch(uint32_t shard, const std::vector<entry_t>& upserts,
+  uint64_t log_batch(const std::vector<entry_t>& upserts,
                      const std::vector<K>& deletes) {
     std::vector<char> buf;
-    wire::put_u32(buf, shard);
+    wire::put_u32(buf, 0);
     wire::put_u32(buf, static_cast<uint32_t>(upserts.size()));
     wire::put_u32(buf, static_cast<uint32_t>(deletes.size()));
     for (const entry_t& e : upserts) {
@@ -150,8 +153,8 @@ class durability {
   // (sync, read durable_seq, snapshot) triple must be fenced against
   // writers so no record with seq <= covered_seq is still between its WAL
   // append and its apply when the cut is taken — kv_store::save_checkpoint
-  // does this by quiescing the combiner's flush locks and excluding bulk
-  // writes. Replay of any seq in (covered, last] is idempotent because
+  // does this by quiescing the combiner's flush locks, under which every
+  // write logs and applies. Replay of any seq in (covered, last] is idempotent because
   // records carry absolute upserts/deletes. covered_seq must be monotone
   // across calls (a regressing claim would follow a truncate that already
   // unlinked records the older manifest needs).
@@ -210,9 +213,9 @@ class durability {
   // Decode one WAL batch record and apply it (absolute ops → idempotent).
   static void apply_record(Map& m, const char* payload, size_t n) {
     wire::reader r(payload, n);
-    r.u32();  // shard routing is rederived from splitters on reload
-    uint32_t n_ups = r.u32();
-    uint32_t n_dels = r.u32();
+    r.u32();  // former shard slot: routing is rederived from splitters
+    uint32_t n_ups = r.count();
+    uint32_t n_dels = r.count();
     std::vector<entry_t> ups;
     ups.reserve(n_ups);
     for (uint32_t i = 0; i < n_ups; i++) {

@@ -76,8 +76,8 @@ struct env_knob {
 };
 
 // Every PAM_* environment knob in the tree. Kept sorted by name.
-inline const std::array<env_knob, 24>& env_knobs() {
-  static const std::array<env_knob, 24> knobs{{
+inline const std::array<env_knob, 22>& env_knobs() {
+  static const std::array<env_knob, 22> knobs{{
       {"PAM_BENCH_JSON", "bench", "(unset)",
        "append one JSON line per benchmark row to this file"},
       {"PAM_BENCH_SCALE", "bench", "1.0",
@@ -115,10 +115,6 @@ inline const std::array<env_knob, 24>& env_knobs() {
       {"PAM_REBALANCE_RATIO", "server", "2.0",
        "rebalance when the hottest shard exceeds this multiple of the mean "
        "per-shard load"},
-      {"PAM_SIMD_FOLD", "tree", "1",
-       "use the vectorized block fold path for hinted integer aug monoids"},
-      {"PAM_SIMD_SEARCH", "tree", "1",
-       "use the branch-free in-block search path"},
       {"PAM_TRACE", "obs", "0", "enable trace-span recording at startup"},
       {"PAM_TRACE_JSON", "obs", "(unset)",
        "write the Chrome-trace JSON dump to this file at bench exit"},

@@ -298,10 +298,11 @@ TEST(CrashRecovery, ConcurrentWritersCleanShutdownRecoverExactly) {
 // seq <= covered but whose apply had not yet happened when the cut was
 // snapshotted would be absent from the checkpoint AND skipped by replay —
 // an acked batch silently lost after recovery. save_checkpoint fences the
-// (sync, read covered, snapshot) triple against both writer paths (the
-// combiner's flush locks via quiesced, bulk writes via the cut fence);
-// this test hammers continuous checkpoints against concurrent put() and
-// put_batch() traffic and requires exact oracle equality after recovery.
+// (sync, read covered, snapshot) triple with one fence, the combiner's
+// flush locks (quiesced), under which buffered batches and bulk writes
+// alike log and apply; this test hammers continuous checkpoints against
+// concurrent put() and put_batch() traffic and requires exact oracle
+// equality after recovery.
 // Runs under TSan in CI.
 TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
   temp_dir td("ckpt_race");
@@ -338,9 +339,10 @@ TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
           uint64_t v = g.next();
           uint64_t k;
           if (i % 4 == 3) {
-            // Bulk path — logs and applies outside the combiner locks.
-            // Disjoint from the buffered key range: mixing the two paths
-            // on one key is racy by the kv_store contract.
+            // Bulk path — logs and applies under the flush locks of the
+            // queues it touches, the same fence buffered batches take.
+            // Disjoint from the buffered key range, so the two paths meet
+            // only at the checkpoint fence.
             k = uint64_t(t) * 10000 + 5000 + (g.next() % 1500);
             store.put_batch({{k, v}});
           } else {
@@ -362,6 +364,34 @@ TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
   dopts.dir = td.path;
   store_t recovered = store_t::recover(dopts);
   expect_equals(recovered, oracle, "post-recovery: no acked batch lost");
+}
+
+// One WAL record per bulk call, however many shards the batch spans: the
+// record is the crash sweep's atomicity unit (its splitters {1040, 1080}
+// already make its batches span shards), so a bulk write recovers whole or
+// not at all.
+TEST(CrashRecovery, BulkWriteAcrossEveryShardIsOneWalRecord) {
+  if (!pam::obs::kEnabled) GTEST_SKIP() << "built with PAM_METRICS=0";
+  temp_dir td("bulk_one_record");
+  store_t::options opt;
+  opt.splitters = {1040, 1080};
+  pam::store::durability_options dopts;
+  dopts.dir = td.path;
+  opt.durability = dopts;
+  store_t store(map_t{}, opt);
+  auto records = [&] {
+    for (const auto& c : store.metrics().counters) {
+      if (c.name == "pam_wal_records_total") return c.value;
+    }
+    return uint64_t{0};
+  };
+  uint64_t before = records();
+  store.put_batch({{1000, 1}, {1050, 2}, {1100, 3}});
+  EXPECT_EQ(records() - before, 1u);
+  ASSERT_EQ(store.shards().num_shards(), 3u);
+  for (size_t s = 0; s < 3; s++) {
+    EXPECT_EQ(store.shards().snapshot_shard(s).size(), 1u) << "shard " << s;
+  }
 }
 
 // Recovery leaves an audit trail in the metrics registry: runs, replayed

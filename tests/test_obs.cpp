@@ -396,17 +396,29 @@ TEST(ObsKvStore, ExpositionCoversTheStack) {
             std::string::npos);
 }
 
-TEST(ObsKvStore, IngestStatsIsAViewOverTheRegistry) {
+// Ingest counts have one home, the scrape: the combiner's pam_combiner_*
+// counters move exactly with the ops a store accepts and commits.
+TEST(ObsKvStore, IngestCountsLiveInTheScrape) {
   using map_t = pam_map<map_entry<uint64_t, uint64_t>>;
   kv_store<map_t> store(map_t{}, {});
-  auto before = store.ingest_stats();
+  auto value = [](const obs::registry_snapshot& snap, const char* name) {
+    const auto* c = find_counter(snap, name);
+    return c == nullptr ? uint64_t{0} : c->value;
+  };
+  auto before = store.metrics();
   for (uint64_t i = 0; i < 100; i++) store.put(i, i);
   store.flush();
-  auto after = store.ingest_stats();
-  EXPECT_EQ(after.ops_enqueued - before.ops_enqueued, 100u);
-  EXPECT_EQ(after.ops_committed - before.ops_committed, 100u);
-  EXPECT_GE(after.batches_flushed, before.batches_flushed + 1);
-  EXPECT_EQ(after.sink_failures, before.sink_failures);
+  auto after = store.metrics();
+  EXPECT_EQ(value(after, "pam_combiner_ops_enqueued_total") -
+                value(before, "pam_combiner_ops_enqueued_total"),
+            100u);
+  EXPECT_EQ(value(after, "pam_combiner_ops_committed_total") -
+                value(before, "pam_combiner_ops_committed_total"),
+            100u);
+  EXPECT_GE(value(after, "pam_combiner_batches_flushed_total"),
+            value(before, "pam_combiner_batches_flushed_total") + 1);
+  EXPECT_EQ(value(after, "pam_combiner_sink_failures_total"),
+            value(before, "pam_combiner_sink_failures_total"));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,17 @@ using entry_t = map_t::entry_t;
 using sharded_t = pam::sharded_map<map_t>;
 using combiner_t = pam::write_combiner<map_t>;
 using store_t = pam::kv_store<map_t>;
+
+// One counter's value in a fresh scrape of the metrics registry, 0 when
+// absent. A PAM_METRICS=OFF build scrapes nothing, so count assertions on it
+// sit under pam::obs::kEnabled; outcome assertions (find, size) never do.
+uint64_t scraped(const std::string& name) {
+  uint64_t total = 0;
+  for (const auto& c : pam::obs::registry::get().scrape().counters) {
+    if (c.name == name) total += c.value;
+  }
+  return total;
+}
 
 std::vector<entry_t> random_entries(size_t n, uint64_t seed, uint64_t range) {
   std::vector<entry_t> es(n);
@@ -558,6 +570,9 @@ TEST(WriteCombiner, CoalescesLastWriterWinsWithinABatch) {
   {
     combiner_t wc(sm, {.batch_size = 1u << 20,
                        .flush_interval = std::chrono::milliseconds(0)});
+    uint64_t enq0 = scraped("pam_combiner_ops_enqueued_total");
+    uint64_t com0 = scraped("pam_combiner_ops_committed_total");
+    uint64_t bat0 = scraped("pam_combiner_batches_flushed_total");
     wc.upsert(1, 10);
     wc.erase(1);
     wc.upsert(1, 30);  // survives
@@ -567,10 +582,12 @@ TEST(WriteCombiner, CoalescesLastWriterWinsWithinABatch) {
     wc.upsert(3, 6);   // survives
     wc.flush_all();
 
-    auto st = wc.stats();
-    EXPECT_EQ(st.ops_enqueued, 7u);
-    EXPECT_EQ(st.ops_committed, 3u);  // one survivor per distinct key
-    EXPECT_EQ(st.batches_flushed, 1u);
+    if (pam::obs::kEnabled) {
+      EXPECT_EQ(scraped("pam_combiner_ops_enqueued_total") - enq0, 7u);
+      // One survivor per distinct key.
+      EXPECT_EQ(scraped("pam_combiner_ops_committed_total") - com0, 3u);
+      EXPECT_EQ(scraped("pam_combiner_batches_flushed_total") - bat0, 1u);
+    }
   }
   EXPECT_EQ(sm.find(1), std::optional<V>(30));
   EXPECT_EQ(sm.find(2), std::nullopt);
@@ -641,6 +658,8 @@ TEST(WriteCombiner, ShutdownDrainsAndKeepsAccepting) {
   sharded_t sm(std::vector<K>{1000, 2000});
   combiner_t wc(sm, {.batch_size = 1u << 20,  // never overflows
                      .flush_interval = std::chrono::hours(1)});  // never ticks
+  uint64_t enq0 = scraped("pam_combiner_ops_enqueued_total");
+  uint64_t com0 = scraped("pam_combiner_ops_committed_total");
   for (K k = 0; k < 500; k++) wc.upsert(k, k + 1);
   EXPECT_EQ(sm.size(), 0u);  // all buffered
   wc.shutdown();
@@ -654,9 +673,10 @@ TEST(WriteCombiner, ShutdownDrainsAndKeepsAccepting) {
   EXPECT_EQ(sm.find(5000), std::optional<V>(55));
   EXPECT_EQ(sm.find(3), std::nullopt);
   EXPECT_EQ(sm.size(), 500u);
-  auto st = wc.stats();
-  EXPECT_EQ(st.ops_enqueued, 502u);
-  EXPECT_EQ(st.ops_committed, 502u);
+  if (pam::obs::kEnabled) {
+    EXPECT_EQ(scraped("pam_combiner_ops_enqueued_total") - enq0, 502u);
+    EXPECT_EQ(scraped("pam_combiner_ops_committed_total") - com0, 502u);
+  }
 }
 
 TEST(WriteCombiner, ShutdownRacingEnqueuesLosesNothing) {
@@ -745,6 +765,8 @@ TEST(KvStore, EndToEnd) {
   auto es = random_entries(10000, 21, 1u << 18);
   map_t initial(es);
   store_t store(initial, {.num_shards = 8});
+  uint64_t enq0 = scraped("pam_combiner_ops_enqueued_total");
+  uint64_t bat0 = scraped("pam_combiner_batches_flushed_total");
 
   store.put(1, 11);
   store.put(2, 22);
@@ -769,9 +791,30 @@ TEST(KvStore, EndToEnd) {
   store.put_batch({{123456789, 1}});
   EXPECT_EQ(snap.find(123456789), std::nullopt);
 
-  auto st = store.ingest_stats();
-  EXPECT_EQ(st.ops_enqueued, 3u);
-  EXPECT_GE(st.batches_flushed, 1u);
+  // Bulk writes skip the buffers: only the three point ops were enqueued.
+  if (pam::obs::kEnabled) {
+    EXPECT_EQ(scraped("pam_combiner_ops_enqueued_total") - enq0, 3u);
+    EXPECT_GE(scraped("pam_combiner_batches_flushed_total") - bat0, 1u);
+  }
+}
+
+// Bulk writes ride the combiner's flush locks: a buffered put on a key
+// commits before a later put_batch of the same key, so the bulk value wins
+// even though the put was still sitting in its queue.
+TEST(KvStore, BufferedPutThenBulkWriteKeepsCallOrder) {
+  store_t store(map_t{}, {.splitters = {1000, 2000},
+                          .combiner = {.batch_size = 1u << 20,
+                                       .flush_interval =
+                                           std::chrono::hours(1)}});
+  store.put(1500, 1);
+  store.put_batch({{1500, 2}});
+  store.flush();
+  EXPECT_EQ(store.get(1500), std::optional<V>(2));
+
+  store.put(1500, 3);
+  store.erase_batch({1500});
+  store.flush();
+  EXPECT_EQ(store.get(1500), std::nullopt);
 }
 
 }  // namespace

@@ -423,6 +423,37 @@ TEST(Manifest, RoundTripAndCommitPoint) {
   EXPECT_THROW(cio::read_manifest(*fs, td.path, *cur), pam::wire::error);
 }
 
+// A u32 count field set to 0xFFFFFFFF (CRC recomputed, so only the count is
+// wrong) must be rejected as wire::error before anything is reserved for it
+// — not escape as std::bad_alloc.
+TEST(Manifest, HugeCountsAreWireErrors) {
+  temp_dir td("manifest_counts");
+  auto fs = pam::store::posix_fs();
+  fs->mkdirs(td.path);
+  using cio = pam::store::checkpoint_io<u64_map>;
+  cio::manifest_t m;
+  m.id = 7;
+  cio::write_manifest(*fs, td.path, m);  // no splitters, no files
+  const std::string name = pam::store::manifest_file_name(7);
+  const std::string mpath = td.path + "/" + name;
+  std::vector<char> good(fs->open_read(mpath)->size());
+  fs->open_read(mpath)->read_at(0, good.data(), good.size());
+  // magic u32 | version u32 | id u64 | covered u64 | n_splitters u32 |
+  // n_files u32 | crc u32
+  for (size_t at : {size_t{24}, size_t{28}}) {
+    auto bad = good;
+    uint32_t huge = 0xFFFFFFFFu;
+    std::memcpy(bad.data() + at, &huge, sizeof(huge));
+    uint32_t crc = pam::store::crc32c(bad.data(), bad.size() - 4);
+    std::memcpy(bad.data() + bad.size() - 4, &crc, sizeof(crc));
+    auto f = fs->create(mpath);
+    f->append(bad.data(), bad.size());
+    f.reset();
+    EXPECT_THROW(cio::read_manifest(*fs, td.path, name), pam::wire::error)
+        << "count at byte " << at;
+  }
+}
+
 // ------------------------------------------------------------ wire codec --
 
 // Round-trip `m` through the wire format and compare against the oracle.
@@ -527,6 +558,40 @@ TEST(WireCodec, CorruptStreamsThrowNeverCrash) {
   }
 }
 
+// Header (20 bytes): u32 magic | u8 layout | u8 byte_order | u16 entry_abi
+// | u64 total_entries | u32 record_count; then the first record's
+// u8 kind | u32 count. A count of 0xFFFFFFFF must be a wire::error, never a
+// reserve() that escapes as std::bad_alloc.
+template <typename Map>
+void expect_huge_first_count_rejected(const Map& m, uint8_t kind) {
+  std::vector<char> wire;
+  m.serialize(wire);
+  ASSERT_GT(wire.size(), 25u);
+  ASSERT_EQ(static_cast<uint8_t>(wire[20]), kind);
+  uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(wire.data() + 21, &huge, sizeof(huge));
+  EXPECT_THROW(Map::deserialize(wire.data(), wire.size()), pam::wire::error);
+}
+
+TEST(WireCodec, HugeRecordCountsAreWireErrors) {
+  size_t saved_b = pam::leaf_block_size();
+  // B = 0: every entry rides a per-field run record (kind 1).
+  pam::set_leaf_block_size(0);
+  u64_map runs;
+  for (uint64_t k = 0; k < 100; k++) {
+    runs = u64_map::insert(std::move(runs), k, k);
+  }
+  expect_huge_first_count_rejected(runs, 1);
+  // Front-coded blocks travel as raw coded records (kind 3).
+  pam::set_leaf_block_size(32);
+  std::vector<std::pair<std::string, uint64_t>> es;
+  for (uint64_t i = 0; i < 500; i++) {
+    es.emplace_back("k/" + std::to_string(1000 + i), i);
+  }
+  expect_huge_first_count_rejected(str_map::from_sorted(es), 3);
+  pam::set_leaf_block_size(saved_b);
+}
+
 TEST(WireCodec, CrossEndianStreamRejected) {
   u64_map m;
   for (uint64_t k = 0; k < 100; k++) {
@@ -624,6 +689,23 @@ TEST(Durability, FullCheckpointForcedPastMaxChainAndGcSweeps) {
   auto rec = pam::store::durability<u64_map>::recover(opts);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->contents.size(), 5000u);
+}
+
+// WAL batch record: [ u32 0 | u32 n_ups | u32 n_dels | entries | keys ].
+// Either count at 0xFFFFFFFF must fail as wire::error before any reserve.
+TEST(Durability, WalRecordHugeCountsAreWireErrors) {
+  for (bool huge_ups : {true, false}) {
+    std::vector<char> rec;
+    pam::wire::put_u32(rec, 0);
+    pam::wire::put_u32(rec, huge_ups ? 0xFFFFFFFFu : 1u);
+    pam::wire::put_u32(rec, huge_ups ? 0u : 0xFFFFFFFFu);
+    pam::wire::field_codec<u64_map::entry_t>::write({5, 50}, rec);
+    u64_map m;
+    EXPECT_THROW(pam::store::durability<u64_map>::apply_record(m, rec.data(),
+                                                              rec.size()),
+                 pam::wire::error)
+        << (huge_ups ? "n_ups" : "n_dels");
+  }
 }
 
 TEST(Durability, RecoverOnEmptyDirectoryIsNullopt) {
