@@ -65,7 +65,7 @@ int main() {
   temp_dir td;
   store::durability_options opts;
   opts.dir = td.path;
-  opts.wal.sync_every = 16;  // group commit; PAM_WAL_SYNC_EVERY=1 for strict
+  opts.wal.sync_every = 16;  // group commit; the default 1 is strict
 
   std::vector<K> splitters = {universe / 4, universe / 2, 3 * universe / 4};
   sharded_map<map_t> shards(splitters);

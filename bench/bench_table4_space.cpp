@@ -119,7 +119,7 @@ int main() {
     set_leaf_block_size(0);
     double unblocked_bpe = bytes_per_entry(es);
 
-    size_t b = 32;  // the PAM_LEAF_BLOCK default
+    size_t b = 32;  // the default leaf block size
     set_leaf_block_size(b);
     double blocked_bpe = bytes_per_entry(es);
 

@@ -1,8 +1,8 @@
 // Runtime-sized pool storage for the blocked-leaf layer.
 //
 // Leaf blocks are `header + capacity * sizeof(entry)` bytes where the
-// capacity follows the env-tunable PAM_LEAF_BLOCK knob, so their size cannot
-// be a template parameter. raw_pool is the runtime-sized face of the one
+// capacity follows the runtime leaf block size (set_leaf_block_size), so
+// their size cannot be a template parameter. raw_pool is the runtime-sized face of the one
 // unified pool implementation (alloc/arena.h): historically this header held
 // a second copy of the two-level design, which is now block_pool — the same
 // class type_allocator instantiates per node type. One pool per leaf
@@ -11,13 +11,14 @@
 // reserved_bytes()/trim() work uniformly across node and leaf storage.
 //
 // Fixed-width (flat) blocks use *entry-count* capacity classes: the slot for
-// capacity 2^c is slot_bytes(2^c). Variable-length front-coded blocks
-// (pam/coded_block.h) have no per-entry slot width at all, so they draw from
-// *byte-granular* capacity classes instead: one pool per power-of-two byte
-// size between kMinByteClassLog and kMaxByteClassLog, with larger blocks
-// overflowing to individually counted aligned heap allocations. The helpers
-// below define that class geometry; the encoder owns the pool table (it is
-// part of the sanctioned allocation surface, see tools/pam_lint.py).
+// capacity 2^c is slot_bytes(2^c). Coded blocks (front-coded strings and
+// delta-coded integers, pam/coded_block.h) have no per-entry slot width at
+// all, so they draw from *byte-granular* capacity classes instead: one pool
+// per byte size class between kMinByteClassLog and kMaxByteClassLog, with
+// larger blocks overflowing to individually counted aligned heap
+// allocations. The helpers below define that class geometry; coded_store
+// owns the pool table (it is part of the sanctioned allocation surface, see
+// tools/pam_lint.py).
 #pragma once
 
 #include <cstddef>

@@ -5,13 +5,13 @@
 //
 //   { obs::span s("wal.sync"); seg_->sync(); }   // records [t0, t1)
 //
-// Each thread owns a ring of kDefaultRing completed spans (override with
-// PAM_TRACE_RING); when the ring wraps, the oldest spans are overwritten —
-// tracing is a flight recorder, not a log. Recording is wait-free and
-// thread-local: a span's destructor writes one slot of its own thread's
-// ring, no atomics, no sharing. The only cross-thread traffic is (a) ring
-// registration, once per thread, under a mutex, and (b) dump_chrome_json,
-// which locks each ring briefly while copying it out.
+// Each thread owns a ring of kDefaultRing (4096) completed spans; when the
+// ring wraps, the oldest spans are overwritten — tracing is a flight
+// recorder, not a log. Recording is wait-free and thread-local: a span's
+// destructor writes one slot of its own thread's ring, no atomics, no
+// sharing. The only cross-thread traffic is (a) ring registration, once
+// per thread, under a mutex, and (b) dump_chrome_json, which locks each
+// ring briefly while copying it out.
 //
 // Runtime gate: spans record only when tracing is enabled — either
 // PAM_TRACE=1 in the environment (read once) or trace::set_enabled(true).
@@ -74,22 +74,10 @@ struct ring_list {
     if (mine == nullptr) {
       mutex_guard lock(mu);
       // pam-lint: allow(naked-new) — ring lives in the immortal list.
-      mine = new ring(next_tid++, ring_capacity());
+      mine = new ring(next_tid++, kDefaultRing);
       rings.push_back(mine);
     }
     return *mine;
-  }
-
-  static size_t ring_capacity() {
-    static size_t cap = [] {
-      const char* s = std::getenv("PAM_TRACE_RING");
-      if (s != nullptr) {
-        long v = std::atol(s);
-        if (v > 0) return static_cast<size_t>(v);
-      }
-      return kDefaultRing;
-    }();
-    return cap;
   }
 
   mutex mu;

@@ -1,32 +1,29 @@
-// Front-coded leaf blocks for variable-length (string) keys.
+// Byte-coded leaf blocks: one block header and one store for every layout
+// that encodes its entries into bytes, plus the front-coding codec for
+// string keys (the delta codec for integral keys is pam/delta_block.h).
 //
-// A sealed block stores n sorted entries as:
+// A sealed coded block stores n sorted entries in one byte-granular slot:
 //
-//   [ header | u32 end[n] | records | V vals[n] ]
+//   [ header | key region | (zero pad) | value region ]
 //
-// where record i is { u16 prefix_len, suffix bytes }: key_i equals the first
-// prefix_len bytes of key_{i-1} plus the suffix (record 0 stores the full
-// key, prefix_len == 0). end[i] is the offset one past record i inside the
-// record region, so record i spans [end[i-1], end[i]) and random access
-// costs one directory probe plus a prefix re-derivation. This is the
-// PaC-tree difference encoding: consecutive sorted keys share long prefixes
-// (URLs, composite keys), so the per-entry cost collapses to
-// 4 (dir) + 2 (plen) + |suffix| + sizeof(V) bytes, typically a small
-// fraction of a std::string's 32-byte handle alone.
+// Everything about the slot is coded_store's: allocation from the
+// quarter-stepped byte capacity classes of alloc/leaf_pool.h (64 B .. 1 MiB)
+// with larger blocks overflowing to individually counted aligned heap
+// allocations, refcounted sharing (blocks are immutable once sealed —
+// exactly the sharing contract of the flat leaf_block), the raw-region
+// serialization hooks, in-block search and decoding, and live accounting.
+// What the bytes mean is the codec's. A codec sizes and fills the key and
+// value regions, validates an untrusted region, decodes one key per step
+// (its `decoder`), and reads one value by position. node_manager picks the
+// codec from the Entry's key_layout trait (pam/node.h).
 //
-// Blocks are refcounted and immutable once sealed — exactly the sharing
-// contract of the flat leaf_block — and are allocated from the byte-granular
-// quarter-stepped capacity classes of alloc/leaf_pool.h (64 B .. 1 MiB), with
-// larger blocks overflowing to individually counted aligned heap
-// allocations. This file is part of the sanctioned allocation surface
+// This file is part of the sanctioned allocation surface
 // (tools/pam_lint.py): the pool-table singletons and the overflow path are
 // the only places the encoder touches raw memory.
 //
-// Values must be trivially copyable (they are stored raw and released
-// without destruction); keys must be std::string. Both constraints carry
-// contracted diagnostics — see the static_asserts in coded_store and
-// node_manager (tests/compile_fail/front_coded_fixed_key.cpp pins the
-// message).
+// The layout/type contract (string keys for front coding, integral keys for
+// delta coding, trivially copyable values stored raw) is static_asserted
+// once, in node_manager; tests/compile_fail/ pins its messages.
 #pragma once
 
 #include <array>
@@ -58,51 +55,32 @@ struct coded_block {
   uint32_t count;
   int32_t cls;       // byte class; kOverflowClass for heap-allocated blocks
   uint32_t bytes;    // exact encoded footprint (accounting for overflow)
-  uint32_t val_off;  // byte offset of the value array from the block start
+  uint32_t val_off;  // byte offset of the value region from the block start
   [[no_unique_address]] A aug;
 
   static constexpr int32_t kOverflowClass = -1;
 
+  // Offset of the key region, 4-byte aligned for front coding's directory.
   static constexpr size_t dir_offset() {
     return (sizeof(coded_block) + 3) / 4 * 4;
   }
 
-  const uint32_t* dir() const {
-    return reinterpret_cast<const uint32_t*>(
-        reinterpret_cast<const char*>(this) + dir_offset());
+  const char* keys() const {
+    return reinterpret_cast<const char*>(this) + dir_offset();
   }
-  uint32_t* dir() {
-    return reinterpret_cast<uint32_t*>(reinterpret_cast<char*>(this) +
-                                       dir_offset());
-  }
-  // Base of the byte-packed record region (immediately after the directory).
-  const char* recs() const {
-    return reinterpret_cast<const char*>(dir() + count);
-  }
-  char* recs() { return reinterpret_cast<char*>(dir() + count); }
+  char* keys() { return reinterpret_cast<char*>(this) + dir_offset(); }
 
-  const V* vals() const {
-    return reinterpret_cast<const V*>(reinterpret_cast<const char*>(this) +
-                                      val_off);
+  const char* vals() const {
+    return reinterpret_cast<const char*>(this) + val_off;
   }
-  V* vals() { return reinterpret_cast<V*>(reinterpret_cast<char*>(this) + val_off); }
-
-  // Record i's {prefix_len, suffix}; offsets are unaligned, hence memcpy.
-  std::pair<uint16_t, std::string_view> record(uint32_t i) const {
-    const uint32_t* d = dir();
-    uint32_t start = i == 0 ? 0 : d[i - 1];
-    uint16_t plen;
-    std::memcpy(&plen, recs() + start, sizeof(plen));
-    uint32_t suffix_len = d[i] - start - uint32_t{sizeof(uint16_t)};
-    return {plen,
-            std::string_view(recs() + start + sizeof(uint16_t), suffix_len)};
-  }
+  char* vals() { return reinterpret_cast<char*>(this) + val_off; }
 };
 
-// Storage and codec for front-coded blocks of one Entry type: build/seal,
-// retain/release, in-block search and decoding, plus live accounting for
-// the space experiments (shared by every balance scheme over the Entry).
-template <typename Entry>
+// Storage for the coded blocks of one Entry type under one Codec: build /
+// seal, retain / release, in-block search and decoding, plus live
+// accounting for the space experiments (shared by every balance scheme
+// over the Entry).
+template <typename Entry, typename Codec>
 struct coded_store {
   using block = coded_block<Entry>;
   using K = typename block::K;
@@ -110,146 +88,65 @@ struct coded_store {
   using A = typename block::A;
   using entry_t = typename block::entry_t;
   using traits = entry_traits<Entry>;
-
-  static_assert(std::is_same_v<K, std::string>,
-                "PAM leaf-layout contract: key_layout::front_coded requires "
-                "key_t = std::string; fixed-width keys must use "
-                "key_layout::flat");
-  static_assert(std::is_trivially_copyable_v<V>,
-                "PAM leaf-layout contract: key_layout::front_coded requires a "
-                "trivially copyable val_t (values are stored raw inside "
-                "sealed blocks)");
-  static_assert(alignof(block) <= alignof(std::max_align_t) &&
-                    alignof(V) <= alignof(std::max_align_t),
-                "PAM leaf-layout contract: front_coded block and value "
-                "alignment must not exceed max_align_t");
+  // What search takes and the decoder yields: std::string_view for string
+  // keys (compared without materializing), the key itself for integers.
+  using key_view = typename Codec::key_view;
 
   static constexpr size_t kSlotAlign = alignof(std::max_align_t);
-  static constexpr uint16_t kMaxPrefix = 0xFFFF;
 
   // Encode n sorted unique entries (1 <= n) into a fresh sealed block.
   static block* build(const entry_t* es, uint32_t n) {
-    // Pass 1: record sizes. The shared prefix is capped at u16 range; a
-    // longer common prefix is simply re-stored in the suffix (lossless).
-    size_t rec_bytes = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      rec_bytes += sizeof(uint16_t) + es[i].first.size() - prefix_len(es, i);
-    }
-    size_t dir_off = block::dir_offset();
-    size_t rec_off = dir_off + size_t{n} * sizeof(uint32_t);
-    size_t val_off = (rec_off + rec_bytes + alignof(V) - 1) / alignof(V) * alignof(V);
-    size_t total = val_off + size_t{n} * sizeof(V);
-
-    int cls = byte_class_of(total);
-    block* b;
-    if (cls < kByteClasses) {
-      b = static_cast<block*>(pool(cls).allocate());
-    } else {
-      b = static_cast<block*>(
-          ::operator new(total, std::align_val_t{kSlotAlign}));
-      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_add(static_cast<int64_t>(total),
-                                       std::memory_order_relaxed);
-    }
-    new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = n;
-    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
-    b->bytes = static_cast<uint32_t>(total);
-    b->val_off = static_cast<uint32_t>(val_off);
-
-    // Pass 2: fill directory, records and values.
-    uint32_t* d = b->dir();
-    char* r = b->recs();
-    uint32_t off = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      uint16_t plen = prefix_len(es, i);
-      std::memcpy(r + off, &plen, sizeof(plen));
-      off += uint32_t{sizeof(uint16_t)};
-      size_t suffix = es[i].first.size() - plen;
-      std::memcpy(r + off, es[i].first.data() + plen, suffix);
-      off += static_cast<uint32_t>(suffix);
-      d[i] = off;
-    }
-    V* vs = b->vals();
-    for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
-
-    if constexpr (traits::has_aug) {
-      new (&b->aug) A(fold_entries_assoc<traits>(es, 0, n));
-    } else {
-      new (&b->aug) A();
-    }
+    size_t key_end = block::dir_offset() + Codec::key_bytes(es, n);
+    size_t val_off =
+        (key_end + Codec::kValAlign - 1) / Codec::kValAlign * Codec::kValAlign;
+    block* b = allocate(n, val_off + Codec::val_bytes(es, n), val_off);
+    // Zero the alignment pad, so the serialized raw region is deterministic.
+    std::memset(reinterpret_cast<char*>(b) + key_end, 0, val_off - key_end);
+    Codec::fill(b->keys(), b->vals(), es, n);
+    seal(b, es);
     return b;
   }
 
   // ------------------------------------------------- serialization hooks --
-  // A sealed coded block serializes as its raw encoded region — directory,
-  // records and values exactly as laid out in memory, [dir_offset, bytes) —
-  // because the front-coded encoding is position-independent past the
+  // A sealed coded block serializes as its raw encoded region — key region,
+  // pad and value region exactly as laid out in memory, [dir_offset, bytes)
+  // — because every codec's encoding is position-independent past the
   // header. The header fields {count, bytes, val_off} travel in the frame;
   // the augmented value is recomputed on rebuild, never trusted from disk.
+  static constexpr bool raw_payload = true;
+
   static size_t payload_bytes(const block* b) {
     return size_t{b->bytes} - block::dir_offset();
   }
 
   static void write_payload(const block* b, char* dst) {
-    std::memcpy(dst, reinterpret_cast<const char*>(b) + block::dir_offset(),
-                payload_bytes(b));
+    std::memcpy(dst, b->keys(), payload_bytes(b));
   }
 
   // Rebuild a sealed block from its encoded region (`region` holds
   // bytes - dir_offset() bytes). Returns nullptr when the framing is
-  // internally inconsistent — directory not strictly increasing, value
-  // array not aligned where the record region ends — so a decoder can
-  // never be walked outside the slot. CRC checks at the store layer catch
-  // torn media; this guards the in-memory decode paths.
+  // internally inconsistent (the codec's checks: a front-coding directory
+  // that is not strictly increasing, a truncated or overlong varint, a
+  // misaligned or mis-sized value region), so a decoder can never be
+  // walked outside the slot. Key *ordering* is the serializer's check
+  // (map_codec re-compares decoded keys). CRC checks at the store layer
+  // catch torn media; this guards the in-memory decode paths.
   static block* from_payload(const char* region, uint32_t count,
                              uint32_t bytes, uint32_t val_off) {
     const size_t dir_off = block::dir_offset();
-    const size_t rec_off = dir_off + size_t{count} * sizeof(uint32_t);
-    if (count == 0 || size_t{bytes} < rec_off || size_t{val_off} < rec_off ||
-        val_off > bytes ||
-        size_t{bytes} - val_off != size_t{count} * sizeof(V) ||
-        val_off % alignof(V) != 0) {
+    if (count == 0 || val_off < dir_off || val_off > bytes ||
+        val_off % Codec::kValAlign != 0 ||
+        !Codec::valid(region, count, val_off - dir_off, bytes - val_off)) {
       return nullptr;
     }
-    // The directory must be strictly increasing (every record carries at
-    // least its u16 prefix_len) and stay inside [rec_off, val_off).
-    uint32_t prev = 0;
-    for (uint32_t i = 0; i < count; i++) {
-      uint32_t d;
-      std::memcpy(&d, region + size_t{i} * sizeof(uint32_t), sizeof(d));
-      if (d < prev + uint32_t{sizeof(uint16_t)} || rec_off + d > val_off) {
-        return nullptr;
-      }
-      prev = d;
-    }
-
-    int cls = byte_class_of(bytes);
-    block* b;
-    if (cls < kByteClasses) {
-      b = static_cast<block*>(pool(cls).allocate());
-    } else {
-      b = static_cast<block*>(
-          ::operator new(bytes, std::align_val_t{kSlotAlign}));
-      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_add(static_cast<int64_t>(bytes),
-                                       std::memory_order_relaxed);
-    }
-    new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = count;
-    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
-    b->bytes = bytes;
-    b->val_off = val_off;
-    std::memcpy(reinterpret_cast<char*>(b) + dir_off, region,
-                size_t{bytes} - dir_off);
+    block* b = allocate(count, bytes, val_off);
+    std::memcpy(b->keys(), region, size_t{bytes} - dir_off);
+    std::vector<entry_t> es;
     if constexpr (traits::has_aug) {
-      std::vector<entry_t> es;
       es.reserve(count);
       decode_all(b, es);
-      new (&b->aug) A(fold_entries_assoc<traits>(es.data(), 0, count));
-    } else {
-      new (&b->aug) A();
     }
+    seal(b, es.data());
     return b;
   }
 
@@ -273,52 +170,36 @@ struct coded_store {
   }
 
   // ------------------------------------------------------------- reading --
+  // Point reads walk the codec's decoder from slot 0: each step derives one
+  // key from its predecessor, so slot i costs i + 1 steps.
 
-  // The first key, zero-copy: record 0 stores it whole.
-  static std::string_view first_key(const block* b) {
-    return b->record(0).second;
-  }
+  static key_view first_key(const block* b) { return Codec::first_key(b); }
+  static V first_val(const block* b) { return Codec::value_at(b, 0); }
+  static V value_at(const block* b, uint32_t i) { return Codec::value_at(b, i); }
 
-  static const V* vals(const block* b) { return b->vals(); }
-
-  // Positional value accessors shared with delta_store (which has no value
-  // array to point at), so tree_ops reads values through one name.
-  static V first_val(const block* b) { return b->vals()[0]; }
-  static V value_at(const block* b, uint32_t i) { return b->vals()[i]; }
-
-  // Append all n entries, keys materialized, onto out.
+  // Append all n entries, keys and values materialized, onto out.
   static void decode_all(const block* b, std::vector<entry_t>& out) {
-    std::string cur;
-    const V* vs = b->vals();
+    typename Codec::decoder d(b);
     for (uint32_t i = 0; i < b->count; i++) {
-      auto [plen, suffix] = b->record(i);
-      cur.resize(plen);
-      cur.append(suffix);
-      out.emplace_back(cur, vs[i]);
+      d.step();
+      out.emplace_back(K(d.key()), d.next_value());
     }
   }
 
-  // Entry i, with the key materialized (decodes the prefix chain up to i).
+  // Entry i, decoding the key chain up to i.
   static entry_t entry_at(const block* b, uint32_t i) {
-    std::string cur;
-    for (uint32_t j = 0; j <= i; j++) {
-      auto [plen, suffix] = b->record(j);
-      cur.resize(plen);
-      cur.append(suffix);
-    }
-    return {std::move(cur), b->vals()[i]};
+    typename Codec::decoder d(b);
+    for (uint32_t j = 0; j <= i; j++) d.step();
+    return {K(d.key()), Codec::value_at(b, i)};
   }
 
-  // First slot i with !(key_i < k); *eq reports key_i == k. Incremental
-  // decode: each step re-derives only the suffix on top of the running key.
-  static uint32_t lower_idx(const block* b, std::string_view k, bool* eq) {
-    std::string cur;
+  // First slot i with !(key_i < k); *eq reports key_i == k.
+  static uint32_t lower_idx(const block* b, key_view k, bool* eq) {
+    typename Codec::decoder d(b);
     for (uint32_t i = 0; i < b->count; i++) {
-      auto [plen, suffix] = b->record(i);
-      cur.resize(plen);
-      cur.append(suffix);
-      if (!Entry::comp(std::string_view(cur), k)) {
-        if (eq != nullptr) *eq = !Entry::comp(k, std::string_view(cur));
+      d.step();
+      if (!Entry::comp(d.key(), k)) {
+        if (eq != nullptr) *eq = !Entry::comp(k, d.key());
         return i;
       }
     }
@@ -327,13 +208,11 @@ struct coded_store {
   }
 
   // First slot i with k < key_i.
-  static uint32_t upper_idx(const block* b, std::string_view k) {
-    std::string cur;
+  static uint32_t upper_idx(const block* b, key_view k) {
+    typename Codec::decoder d(b);
     for (uint32_t i = 0; i < b->count; i++) {
-      auto [plen, suffix] = b->record(i);
-      cur.resize(plen);
-      cur.append(suffix);
-      if (Entry::comp(k, std::string_view(cur))) return i;
+      d.step();
+      if (Entry::comp(k, d.key())) return i;
     }
     return b->count;
   }
@@ -361,17 +240,35 @@ struct coded_store {
   }
 
  private:
-  // Length of the prefix of es[i].first shared with es[i-1].first, capped at
-  // the u16 record field (0 for the block's first key).
-  static uint16_t prefix_len(const entry_t* es, uint32_t i) {
-    if (i == 0) return 0;
-    const std::string& prev = es[i - 1].first;
-    const std::string& cur = es[i].first;
-    size_t lim = prev.size() < cur.size() ? prev.size() : cur.size();
-    if (lim > kMaxPrefix) lim = kMaxPrefix;
-    size_t p = 0;
-    while (p < lim && prev[p] == cur[p]) p++;
-    return static_cast<uint16_t>(p);
+  // A pool slot, or a counted overflow allocation, for a `total`-byte block
+  // with its header initialized; regions and aug are left raw.
+  static block* allocate(uint32_t count, size_t total, size_t val_off) {
+    int cls = byte_class_of(total);
+    block* b;
+    if (cls < kByteClasses) {
+      b = static_cast<block*>(pool(cls).allocate());
+    } else {
+      b = static_cast<block*>(
+          ::operator new(total, std::align_val_t{kSlotAlign}));
+      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
+      table().overflow_bytes.fetch_add(static_cast<int64_t>(total),
+                                       std::memory_order_relaxed);
+    }
+    new (&b->ref_cnt) std::atomic<uint32_t>(1);
+    b->count = count;
+    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
+    b->bytes = static_cast<uint32_t>(total);
+    b->val_off = static_cast<uint32_t>(val_off);
+    return b;
+  }
+
+  // Cache the block's augmented value over its entries es[0, count).
+  static void seal(block* b, const entry_t* es) {
+    if constexpr (traits::has_aug) {
+      new (&b->aug) A(fold_entries_assoc<traits>(es, 0, b->count));
+    } else {
+      new (&b->aug) A();
+    }
   }
 
   struct pool_table {
@@ -402,6 +299,137 @@ struct coded_store {
       }
     }
     return *p;
+  }
+};
+
+// ------------------------------------------------------------ front coding --
+
+// Front coding for std::string keys (key_layout::front_coded):
+//
+//   key region   = [ u32 end[n] | records ]
+//   value region = V vals[n]
+//
+// where record i is { u16 prefix_len, suffix bytes }: key_i equals the
+// first prefix_len bytes of key_{i-1} plus the suffix (record 0 stores the
+// full key, prefix_len == 0). end[i] is the offset one past record i inside
+// the record area, so record i spans [end[i-1], end[i]). This is the
+// PaC-tree difference encoding: consecutive sorted keys share long prefixes
+// (URLs, composite keys), so the per-entry cost collapses to
+// 4 (dir) + 2 (plen) + |suffix| + sizeof(V) bytes, typically a small
+// fraction of a std::string's 32-byte handle alone.
+template <typename Entry>
+struct front_codec {
+  using block = coded_block<Entry>;
+  using V = typename block::V;
+  using entry_t = typename block::entry_t;
+  using key_view = std::string_view;
+
+  static constexpr size_t kValAlign = alignof(V);
+  static constexpr uint16_t kMaxPrefix = 0xFFFF;
+
+  // The shared prefix is capped at u16 range; a longer common prefix is
+  // simply re-stored in the suffix (lossless).
+  static size_t key_bytes(const entry_t* es, uint32_t n) {
+    size_t total = size_t{n} * sizeof(uint32_t);
+    for (uint32_t i = 0; i < n; i++) {
+      total += sizeof(uint16_t) + es[i].first.size() - prefix_len(es, i);
+    }
+    return total;
+  }
+
+  static size_t val_bytes(const entry_t*, uint32_t n) {
+    return size_t{n} * sizeof(V);
+  }
+
+  static void fill(char* keys, char* vals, const entry_t* es, uint32_t n) {
+    uint32_t* d = reinterpret_cast<uint32_t*>(keys);
+    char* r = keys + size_t{n} * sizeof(uint32_t);
+    uint32_t off = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      uint16_t plen = prefix_len(es, i);
+      std::memcpy(r + off, &plen, sizeof(plen));
+      off += uint32_t{sizeof(uint16_t)};
+      size_t suffix = es[i].first.size() - plen;
+      std::memcpy(r + off, es[i].first.data() + plen, suffix);
+      off += static_cast<uint32_t>(suffix);
+      d[i] = off;
+    }
+    V* vs = reinterpret_cast<V*>(vals);
+    for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
+  }
+
+  // An untrusted region: the directory must be strictly increasing (every
+  // record carries at least its u16 prefix_len) and stay inside the key
+  // region; the value region must hold exactly count values.
+  static bool valid(const char* keys, uint32_t count, size_t key_len,
+                    size_t val_len) {
+    const size_t dir_len = size_t{count} * sizeof(uint32_t);
+    if (key_len < dir_len || val_len != size_t{count} * sizeof(V)) return false;
+    uint32_t prev = 0;
+    for (uint32_t i = 0; i < count; i++) {
+      uint32_t d;
+      std::memcpy(&d, keys + size_t{i} * sizeof(uint32_t), sizeof(d));
+      if (d < prev + uint32_t{sizeof(uint16_t)} || dir_len + d > key_len) {
+        return false;
+      }
+      prev = d;
+    }
+    return true;
+  }
+
+  // One step re-derives only the suffix on top of the running key.
+  class decoder {
+   public:
+    explicit decoder(const block* b) : b_(b) {}
+    void step() {
+      auto [plen, suffix] = record(b_, i_++);
+      cur_.resize(plen);
+      cur_.append(suffix);
+    }
+    key_view key() const { return cur_; }
+    // Values in slot order, one per call.
+    V next_value() { return vals(b_)[v_++]; }
+
+   private:
+    const block* b_;
+    uint32_t i_ = 0;
+    uint32_t v_ = 0;
+    std::string cur_;
+  };
+
+  // The first key, zero-copy: record 0 stores it whole.
+  static key_view first_key(const block* b) { return record(b, 0).second; }
+
+  static V value_at(const block* b, uint32_t i) { return vals(b)[i]; }
+
+ private:
+  // Record i's {prefix_len, suffix}; offsets are unaligned, hence memcpy.
+  static std::pair<uint16_t, std::string_view> record(const block* b,
+                                                      uint32_t i) {
+    const uint32_t* d = reinterpret_cast<const uint32_t*>(b->keys());
+    const char* r = b->keys() + size_t{b->count} * sizeof(uint32_t);
+    uint32_t start = i == 0 ? 0 : d[i - 1];
+    uint16_t plen;
+    std::memcpy(&plen, r + start, sizeof(plen));
+    uint32_t suffix_len = d[i] - start - uint32_t{sizeof(uint16_t)};
+    return {plen, std::string_view(r + start + sizeof(uint16_t), suffix_len)};
+  }
+
+  static const V* vals(const block* b) {
+    return reinterpret_cast<const V*>(b->vals());
+  }
+
+  // Length of the prefix of es[i].first shared with es[i-1].first, capped at
+  // the u16 record field (0 for the block's first key).
+  static uint16_t prefix_len(const entry_t* es, uint32_t i) {
+    if (i == 0) return 0;
+    const std::string& prev = es[i - 1].first;
+    const std::string& cur = es[i].first;
+    size_t lim = prev.size() < cur.size() ? prev.size() : cur.size();
+    if (lim > kMaxPrefix) lim = kMaxPrefix;
+    size_t p = 0;
+    while (p < lim && prev[p] == cur[p]) p++;
+    return static_cast<uint16_t>(p);
   }
 };
 

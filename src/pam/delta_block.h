@@ -1,8 +1,8 @@
-// Delta-coded leaf blocks for integral keys.
+// Delta coding for integral keys (key_layout::delta): the codec that
+// coded_store (pam/coded_block.h) runs for the delta layout.
 //
-// A sealed block stores n sorted entries as:
-//
-//   [ header | key varints | (pad) | value stream ]
+//   key region   = key varints | (zero pad)
+//   value region = value varints, or V vals[n]
 //
 // The key stream is PaC-tree difference encoding for the fixed-width case:
 // varint 0 is the full base key (plain varint for unsigned key types, zigzag
@@ -16,38 +16,16 @@
 // flat and front-coded layouts. Against a flat 16-byte {u64, u64} pair slot,
 // dense keys with small values collapse to ~2-4 bytes per entry.
 //
-// Blocks are refcounted and immutable once sealed — the sharing contract of
-// the flat leaf_block — and draw from the quarter-stepped byte capacity
-// classes of alloc/leaf_pool.h, with larger blocks overflowing to
-// individually counted aligned heap allocations. This file is part of the
-// sanctioned allocation surface (tools/pam_lint.py).
-//
 // Keys must be integral (the difference encoding is defined on unsigned
-// wrap-around arithmetic); values must be trivially copyable. Both
-// constraints carry contracted diagnostics — see the static_asserts in
-// delta_store and node_manager (tests/compile_fail/delta_string_key.cpp pins
-// the message).
-//
-// delta_store deliberately mirrors coded_store's whole surface (build /
-// payload hooks / retain / release / first_key / decode_all / entry_at /
-// lower_idx / upper_idx / accounting) plus value_at, so node_manager,
-// tree_ops, the iterator and map_codec dispatch to either store through one
-// `lstore` alias and the serializer's kCodedRaw record kind carries both.
+// wrap-around arithmetic); node_manager static_asserts it
+// (tests/compile_fail/delta_string_key.cpp pins the message).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
-#include "alloc/leaf_pool.h"
-#include "pam/entry_traits.h"
-#include "util/thread_annotations.h"
+#include "pam/coded_block.h"
 
 namespace pam {
 
@@ -127,64 +105,12 @@ inline const char* get_checked(const char* p, const char* end, uint64_t& out) {
 }  // namespace vint
 
 template <typename Entry>
-struct delta_block {
-  using K = typename Entry::key_t;
-  using V = typename Entry::val_t;
-  using A = typename entry_traits<Entry>::aug_t;
-  using entry_t = std::pair<K, V>;
-
-  std::atomic<uint32_t> ref_cnt;
-  uint32_t count;
-  int32_t cls;       // byte class; kOverflowClass for heap-allocated blocks
-  uint32_t bytes;    // exact encoded footprint (accounting for overflow)
-  uint32_t val_off;  // byte offset of the value stream from the block start
-  [[no_unique_address]] A aug;
-
-  static constexpr int32_t kOverflowClass = -1;
-
-  static constexpr size_t dir_offset() {
-    return (sizeof(delta_block) + 3) / 4 * 4;
-  }
-
-  // Base of the key varint stream (immediately after the header).
-  const char* keys() const {
-    return reinterpret_cast<const char*>(this) + dir_offset();
-  }
-  char* keys() { return reinterpret_cast<char*>(this) + dir_offset(); }
-
-  const char* val_stream() const {
-    return reinterpret_cast<const char*>(this) + val_off;
-  }
-  char* val_stream() { return reinterpret_cast<char*>(this) + val_off; }
-};
-
-// Storage and codec for delta-coded blocks of one Entry type: build/seal,
-// retain/release, in-block search and decoding, plus live accounting for
-// the space experiments (shared by every balance scheme over the Entry).
-template <typename Entry>
-struct delta_store {
-  using block = delta_block<Entry>;
+struct delta_codec {
+  using block = coded_block<Entry>;
   using K = typename block::K;
   using V = typename block::V;
-  using A = typename block::A;
   using entry_t = typename block::entry_t;
-  using traits = entry_traits<Entry>;
-
-  static_assert(std::is_integral_v<K>,
-                "PAM leaf-layout contract: key_layout::delta requires an "
-                "integral key_t (the difference encoding is defined on "
-                "unsigned wrap-around arithmetic); string keys must use "
-                "key_layout::front_coded");
-  static_assert(std::is_trivially_copyable_v<V>,
-                "PAM leaf-layout contract: key_layout::delta requires a "
-                "trivially copyable val_t (values are stored raw inside "
-                "sealed blocks)");
-  static_assert(alignof(block) <= alignof(std::max_align_t) &&
-                    alignof(V) <= alignof(std::max_align_t),
-                "PAM leaf-layout contract: delta block and value alignment "
-                "must not exceed max_align_t");
-
-  static constexpr size_t kSlotAlign = alignof(std::max_align_t);
+  using key_view = K;
 
   using UK = std::make_unsigned_t<K>;
   using SK = std::make_signed_t<K>;
@@ -192,6 +118,116 @@ struct delta_store {
   static constexpr bool kPackedVals = std::is_integral_v<V>;
   static constexpr size_t kValAlign = kPackedVals ? 1 : alignof(V);
 
+  static size_t key_bytes(const entry_t* es, uint32_t n) {
+    size_t total = 0;
+    for (uint32_t i = 0; i < n; i++) total += vint::length(key_code(es, i));
+    return total;
+  }
+
+  static size_t val_bytes(const entry_t* es, uint32_t n) {
+    if constexpr (kPackedVals) {
+      size_t total = 0;
+      for (uint32_t i = 0; i < n; i++) {
+        total += vint::length(val_code(es[i].second));
+      }
+      return total;
+    } else {
+      return size_t{n} * sizeof(V);
+    }
+  }
+
+  static void fill(char* keys, char* vals, const entry_t* es, uint32_t n) {
+    for (uint32_t i = 0; i < n; i++) keys = vint::put(keys, key_code(es, i));
+    if constexpr (kPackedVals) {
+      for (uint32_t i = 0; i < n; i++) vals = vint::put(vals, val_code(es[i].second));
+    } else {
+      V* vs = reinterpret_cast<V*>(vals);
+      for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
+    }
+  }
+
+  // An untrusted region: count canonical key varints, then only zero
+  // padding (less than one alignment step) up to the value region, which
+  // must hold exactly count values.
+  static bool valid(const char* keys, uint32_t count, size_t key_len,
+                    size_t val_len) {
+    if (key_len < count) return false;
+    if constexpr (!kPackedVals) {
+      if (val_len != size_t{count} * sizeof(V)) return false;
+    }
+    const char* p = keys;
+    const char* key_end = keys + key_len;
+    for (uint32_t i = 0; i < count; i++) {
+      uint64_t u;
+      p = vint::get_checked(p, key_end, u);
+      if (p == nullptr) return false;
+    }
+    if (size_t(key_end - p) >= kValAlign) return false;
+    for (; p != key_end; p++) {
+      if (*p != 0) return false;
+    }
+    if constexpr (kPackedVals) {
+      const char* val_end = key_end + val_len;
+      for (uint32_t i = 0; i < count; i++) {
+        uint64_t u;
+        p = vint::get_checked(p, val_end, u);
+        if (p == nullptr) return false;
+      }
+      if (p != val_end) return false;
+    }
+    return true;
+  }
+
+  // One step adds one decoded delta to the running key.
+  class decoder {
+   public:
+    explicit decoder(const block* b) : kp_(b->keys()), vp_(b->vals()) {}
+    void step() {
+      uint64_t u;
+      kp_ = vint::get(kp_, u);
+      cur_ = UK(key_step(cur_, u, i_++));
+    }
+    key_view key() const { return static_cast<K>(cur_); }
+    // Values in slot order, one per call.
+    V next_value() {
+      if constexpr (kPackedVals) {
+        uint64_t u;
+        vp_ = vint::get(vp_, u);
+        return val_decode(u);
+      } else {
+        V v = *reinterpret_cast<const V*>(vp_);
+        vp_ += sizeof(V);
+        return v;
+      }
+    }
+
+   private:
+    const char* kp_;
+    const char* vp_;
+    UK cur_ = 0;
+    uint32_t i_ = 0;
+  };
+
+  // The base key — varint 0 decoded, no chain walk.
+  static key_view first_key(const block* b) {
+    decoder d(b);
+    d.step();
+    return d.key();
+  }
+
+  // Value of slot i (walks the packed stream; indexes the raw array).
+  static V value_at(const block* b, uint32_t i) {
+    if constexpr (kPackedVals) {
+      const char* p = b->vals();
+      uint64_t u = 0;
+      for (uint32_t j = 0; j <= i; j++) p = vint::get(p, u);
+      return val_decode(u);
+    } else {
+      return reinterpret_cast<const V*>(b->vals())[i];
+    }
+  }
+
+ private:
   // Varint code for key i: the base key whole, then successor differences
   // in the key's unsigned width, sign-extended into zigzag — close keys
   // yield small codes under ascending *or* descending comparators.
@@ -233,304 +269,6 @@ struct delta_store {
       }
     }
     return static_cast<K>(UK(prev + UK(vint::unzigzag(code))));
-  }
-
-  // Encode n sorted unique entries (1 <= n) into a fresh sealed block.
-  static block* build(const entry_t* es, uint32_t n) {
-    // Pass 1: stream sizes.
-    size_t key_bytes = 0;
-    for (uint32_t i = 0; i < n; i++) key_bytes += vint::length(key_code(es, i));
-    size_t key_off = block::dir_offset();
-    size_t val_off = (key_off + key_bytes + kValAlign - 1) / kValAlign * kValAlign;
-    size_t val_bytes;
-    if constexpr (kPackedVals) {
-      val_bytes = 0;
-      for (uint32_t i = 0; i < n; i++) {
-        val_bytes += vint::length(val_code(es[i].second));
-      }
-    } else {
-      val_bytes = size_t{n} * sizeof(V);
-    }
-    size_t total = val_off + val_bytes;
-
-    block* b = allocate(total);
-    new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = n;
-    b->bytes = static_cast<uint32_t>(total);
-    b->val_off = static_cast<uint32_t>(val_off);
-
-    // Pass 2: fill the streams (plus the alignment pad, so the serialized
-    // raw region is deterministic).
-    char* p = b->keys();
-    for (uint32_t i = 0; i < n; i++) p = vint::put(p, key_code(es, i));
-    while (p != b->val_stream()) *p++ = 0;
-    if constexpr (kPackedVals) {
-      for (uint32_t i = 0; i < n; i++) p = vint::put(p, val_code(es[i].second));
-    } else {
-      V* vs = reinterpret_cast<V*>(b->val_stream());
-      for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
-    }
-
-    if constexpr (traits::has_aug) {
-      new (&b->aug) A(fold_entries_assoc<traits>(es, 0, n));
-    } else {
-      new (&b->aug) A();
-    }
-    return b;
-  }
-
-  // ------------------------------------------------- serialization hooks --
-  // A sealed delta block serializes as its raw encoded region — key stream,
-  // pad and value stream exactly as laid out in memory, [dir_offset, bytes)
-  // — because the encoding is position-independent past the header. The
-  // header fields {count, bytes, val_off} travel in the frame; the augmented
-  // value is recomputed on rebuild, never trusted from disk.
-  static size_t payload_bytes(const block* b) {
-    return size_t{b->bytes} - block::dir_offset();
-  }
-
-  static void write_payload(const block* b, char* dst) {
-    std::memcpy(dst, reinterpret_cast<const char*>(b) + block::dir_offset(),
-                payload_bytes(b));
-  }
-
-  // Rebuild a sealed block from its encoded region (`region` holds
-  // bytes - dir_offset() bytes). Returns nullptr when the framing is
-  // internally inconsistent — a truncated or overlong varint, streams that
-  // do not consume exactly their regions, a misaligned raw value array — so
-  // a decoder can never be walked outside the slot. Key *ordering* is the
-  // serializer's check (map_codec re-compares decoded keys); this guards
-  // the in-memory decode paths.
-  static block* from_payload(const char* region, uint32_t count,
-                             uint32_t bytes, uint32_t val_off) {
-    const size_t dir_off = block::dir_offset();
-    if (count == 0 || size_t{val_off} < dir_off + count || val_off > bytes ||
-        val_off % kValAlign != 0) {
-      return nullptr;
-    }
-    if constexpr (!kPackedVals) {
-      if (size_t{bytes} - val_off != size_t{count} * sizeof(V)) return nullptr;
-    }
-    // Walk the key stream: count varints, then only zero padding up to the
-    // value offset (and strictly less than one alignment step of it).
-    const char* p = region;
-    const char* key_end = region + (val_off - dir_off);
-    for (uint32_t i = 0; i < count; i++) {
-      uint64_t u;
-      p = vint::get_checked(p, key_end, u);
-      if (p == nullptr) return nullptr;
-    }
-    if (size_t(key_end - p) >= kValAlign) return nullptr;
-    for (; p != key_end; p++) {
-      if (*p != 0) return nullptr;
-    }
-    if constexpr (kPackedVals) {
-      const char* val_end = region + (bytes - dir_off);
-      for (uint32_t i = 0; i < count; i++) {
-        uint64_t u;
-        p = vint::get_checked(p, val_end, u);
-        if (p == nullptr) return nullptr;
-      }
-      if (p != val_end) return nullptr;
-    }
-
-    block* b = allocate(bytes);
-    new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = count;
-    b->bytes = bytes;
-    b->val_off = val_off;
-    std::memcpy(reinterpret_cast<char*>(b) + dir_off, region,
-                size_t{bytes} - dir_off);
-    if constexpr (traits::has_aug) {
-      std::vector<entry_t> es;
-      es.reserve(count);
-      decode_all(b, es);
-      new (&b->aug) A(fold_entries_assoc<traits>(es.data(), 0, count));
-    } else {
-      new (&b->aug) A();
-    }
-    return b;
-  }
-
-  static block* retain(block* b) {
-    b->ref_cnt.fetch_add(1, std::memory_order_relaxed);
-    return b;
-  }
-
-  static void release(block* b) {
-    if (b->ref_cnt.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    b->aug.~A();  // keys are encoded bytes and values trivially copyable
-    if (b->cls != block::kOverflowClass) {
-      pool(b->cls).deallocate(b);
-    } else {
-      size_t total = b->bytes;
-      ::operator delete(b, std::align_val_t{kSlotAlign});
-      table().overflow_blocks.fetch_sub(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_sub(static_cast<int64_t>(total),
-                                       std::memory_order_relaxed);
-    }
-  }
-
-  // ------------------------------------------------------------- reading --
-
-  // The base key — varint 0 decoded, no chain walk.
-  static K first_key(const block* b) {
-    uint64_t u;
-    vint::get(b->keys(), u);
-    return key_step(UK{0}, u, 0);
-  }
-
-  static V first_val(const block* b) { return value_at(b, 0); }
-
-  // Value of slot i (walks the packed stream; indexes the raw array).
-  static V value_at(const block* b, uint32_t i) {
-    if constexpr (kPackedVals) {
-      const char* p = b->val_stream();
-      uint64_t u = 0;
-      for (uint32_t j = 0; j <= i; j++) p = vint::get(p, u);
-      return val_decode(u);
-    } else {
-      return reinterpret_cast<const V*>(b->val_stream())[i];
-    }
-  }
-
-  // Append all n entries, keys and values materialized, onto out.
-  static void decode_all(const block* b, std::vector<entry_t>& out) {
-    const char* kp = b->keys();
-    UK cur = 0;
-    if constexpr (kPackedVals) {
-      const char* vp = b->val_stream();
-      for (uint32_t i = 0; i < b->count; i++) {
-        uint64_t ku, vu;
-        kp = vint::get(kp, ku);
-        vp = vint::get(vp, vu);
-        cur = UK(key_step(cur, ku, i));
-        out.emplace_back(static_cast<K>(cur), val_decode(vu));
-      }
-    } else {
-      const V* vs = reinterpret_cast<const V*>(b->val_stream());
-      for (uint32_t i = 0; i < b->count; i++) {
-        uint64_t ku;
-        kp = vint::get(kp, ku);
-        cur = UK(key_step(cur, ku, i));
-        out.emplace_back(static_cast<K>(cur), vs[i]);
-      }
-    }
-  }
-
-  // Entry i, decoding the delta chain up to i.
-  static entry_t entry_at(const block* b, uint32_t i) {
-    const char* kp = b->keys();
-    UK cur = 0;
-    for (uint32_t j = 0; j <= i; j++) {
-      uint64_t ku;
-      kp = vint::get(kp, ku);
-      cur = UK(key_step(cur, ku, j));
-    }
-    return {static_cast<K>(cur), value_at(b, i)};
-  }
-
-  // First slot i with !(key_i < k); *eq reports key_i == k. Incremental
-  // decode: each step adds one delta to the running key.
-  static uint32_t lower_idx(const block* b, const K& k, bool* eq) {
-    const char* kp = b->keys();
-    UK cur = 0;
-    for (uint32_t i = 0; i < b->count; i++) {
-      uint64_t ku;
-      kp = vint::get(kp, ku);
-      cur = UK(key_step(cur, ku, i));
-      K key = static_cast<K>(cur);
-      if (!Entry::comp(key, k)) {
-        if (eq != nullptr) *eq = !Entry::comp(k, key);
-        return i;
-      }
-    }
-    if (eq != nullptr) *eq = false;
-    return b->count;
-  }
-
-  // First slot i with k < key_i.
-  static uint32_t upper_idx(const block* b, const K& k) {
-    const char* kp = b->keys();
-    UK cur = 0;
-    for (uint32_t i = 0; i < b->count; i++) {
-      uint64_t ku;
-      kp = vint::get(kp, ku);
-      cur = UK(key_step(cur, ku, i));
-      if (Entry::comp(k, static_cast<K>(cur))) return i;
-    }
-    return b->count;
-  }
-
-  // -------------------------------------------------------- accounting --
-
-  // Live blocks / bytes across all maps of this Entry type (Table 4). Bytes
-  // count full slot footprints, the same accounting basis as leaf_store.
-  static int64_t used_blocks() {
-    int64_t total = table().overflow_blocks.load(std::memory_order_relaxed);
-    for (int c = 0; c < kByteClasses; c++) {
-      raw_pool* p = table().pools[c].load(std::memory_order_acquire);
-      if (p != nullptr) total += p->used();
-    }
-    return total;
-  }
-
-  static int64_t used_bytes() {
-    int64_t total = table().overflow_bytes.load(std::memory_order_relaxed);
-    for (int c = 0; c < kByteClasses; c++) {
-      raw_pool* p = table().pools[c].load(std::memory_order_acquire);
-      if (p != nullptr) total += p->used() * static_cast<int64_t>(p->slot_bytes());
-    }
-    return total;
-  }
-
- private:
-  // Pool slot or counted overflow allocation for a `total`-byte block; sets
-  // cls (the only header field tied to the allocation).
-  static block* allocate(size_t total) {
-    int cls = byte_class_of(total);
-    block* b;
-    if (cls < kByteClasses) {
-      b = static_cast<block*>(pool(cls).allocate());
-    } else {
-      b = static_cast<block*>(
-          ::operator new(total, std::align_val_t{kSlotAlign}));
-      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_add(static_cast<int64_t>(total),
-                                       std::memory_order_relaxed);
-    }
-    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
-    return b;
-  }
-
-  struct pool_table {
-    // pam-lint: allow(unguarded-mutex) — mu serializes pool *creation*
-    // only; the pools themselves are published through the atomics and
-    // read lock-free (double-checked init in pool() below), so there is
-    // no member for GUARDED_BY to name.
-    mutex mu;
-    std::array<std::atomic<raw_pool*>, kByteClasses> pools{};
-    std::atomic<int64_t> overflow_blocks{0};
-    std::atomic<int64_t> overflow_bytes{0};
-  };
-
-  static pool_table& table() {
-    static pool_table* t = new pool_table();  // immortal
-    return *t;
-  }
-
-  static raw_pool& pool(int cls) {
-    pool_table& t = table();
-    raw_pool* p = t.pools[cls].load(std::memory_order_acquire);
-    if (p == nullptr) {
-      mutex_guard lock(t.mu);
-      p = t.pools[cls].load(std::memory_order_relaxed);
-      if (p == nullptr) {
-        p = new raw_pool(byte_class_slot(cls), kSlotAlign);  // immortal
-        t.pools[cls].store(p, std::memory_order_release);
-      }
-    }
-    return *p;
   }
 };
 

@@ -45,7 +45,6 @@
 #include "pam/delta_block.h"
 #include "pam/entry_traits.h"
 #include "parallel/parallel.h"
-#include "util/env.h"
 #include "util/thread_annotations.h"
 
 namespace pam {
@@ -63,11 +62,12 @@ inline void set_reuse_enabled(bool on) { reuse_flag().store(on); }
 // ------------------------------------------------------- leaf block knob --
 
 // Maximum entries per leaf block. 0 selects the classic one-entry-per-node
-// layout; >= 1 packs subtrees of up to this many entries into blocks.
-// Both layouts coexist in one process (existing blocks stay valid when the
-// knob changes), so benchmarks can ablate blocked vs. unblocked at runtime.
+// layout; >= 1 packs subtrees of up to this many entries into blocks
+// (default 32; set_leaf_block_size changes it at runtime). Both layouts
+// coexist in one process (existing blocks stay valid when the size
+// changes), so tests and benchmarks sweep blocked vs. unblocked at runtime.
 //
-// Interplay with the key_layout trait (entry_traits.h): the knob selects
+// Interplay with the key_layout trait (entry_traits.h): the size selects
 // *whether* runs are blocked; the Entry's layout selects *how* a block is
 // encoded (flat fixed-width array, front-coded strings, or delta-coded
 // integers). B = 0 is valid for every layout — the tree degrades to classic
@@ -75,16 +75,11 @@ inline void set_reuse_enabled(bool on) { reuse_flag().store(on); }
 // used_leaf_blocks() stays 0. Invalid layout/type combinations (front_coded
 // with a non-string key, delta with a non-integral key, or either with a
 // non-trivially-copyable value) are rejected at compile time by the
-// contracted static_asserts in node_manager / coded_store / delta_store.
+// contracted static_asserts in node_manager.
 inline constexpr size_t kMaxLeafBlock = 2048;
 
 inline std::atomic<uint32_t>& leaf_block_knob() {
-  static std::atomic<uint32_t> knob{[] {
-    long v = env_long("PAM_LEAF_BLOCK", 32);
-    if (v < 0) v = 0;
-    if (v > static_cast<long>(kMaxLeafBlock)) v = static_cast<long>(kMaxLeafBlock);
-    return static_cast<uint32_t>(v);
-  }()};
+  static std::atomic<uint32_t> knob{32};
   return knob;
 }
 inline size_t leaf_block_size() {
@@ -287,12 +282,17 @@ struct leaf_store {
 // key-based heuristics like treap priorities stay well-defined). With 64-bit
 // keys/values/augmentation this is 56 bytes — 8 more than the paper's Table 4
 // node for the block pointer; the blocked layout wins it back ~20x over.
-// Which block type an Entry's chunks carry follows its key_layout trait.
+// Which block store (and so which block type) an Entry's chunks carry
+// follows its key_layout trait: flat arrays, or coded blocks under the
+// front-coding or delta codec.
 template <typename Entry>
-using leaf_block_of = std::conditional_t<
-    entry_layout_v<Entry> == key_layout::flat, leaf_block<Entry>,
-    std::conditional_t<entry_layout_v<Entry> == key_layout::front_coded,
-                       coded_block<Entry>, delta_block<Entry>>>;
+using leaf_store_of = std::conditional_t<
+    entry_layout_v<Entry> == key_layout::flat, leaf_store<Entry>,
+    coded_store<Entry, std::conditional_t<
+                           entry_layout_v<Entry> == key_layout::front_coded,
+                           front_codec<Entry>, delta_codec<Entry>>>>;
+template <typename Entry>
+using leaf_block_of = typename leaf_store_of<Entry>::block;
 
 template <typename Entry, typename BalData>
 struct tree_node {
@@ -347,11 +347,8 @@ struct node_manager {
   // above this seam (tree_ops and up) is layout-generic.
   static constexpr key_layout layout = entry_layout_v<Entry>;
   static constexpr bool flat_layout = layout == key_layout::flat;
-  using lblock = leaf_block_of<Entry>;
-  using lstore = std::conditional_t<
-      flat_layout, leaf_store<Entry>,
-      std::conditional_t<layout == key_layout::front_coded, coded_store<Entry>,
-                         delta_store<Entry>>>;
+  using lstore = leaf_store_of<Entry>;
+  using lblock = typename lstore::block;
   using block_view =
       std::conditional_t<flat_layout, flat_block_view<Entry>, coded_block_view<Entry>>;
 
@@ -369,6 +366,10 @@ struct node_manager {
                 "PAM leaf-layout contract: coded leaf layouts require a "
                 "trivially copyable val_t (values are stored raw inside "
                 "sealed blocks)");
+  static_assert(flat_layout || (alignof(lblock) <= alignof(std::max_align_t) &&
+                                alignof(V) <= alignof(std::max_align_t)),
+                "PAM leaf-layout contract: coded block and value alignment "
+                "must not exceed max_align_t");
 
   // Comparisons are heterogeneous: string-keyed policies take string_views,
   // so lookups and in-block decoding compare without materializing keys.

@@ -195,13 +195,7 @@ struct map_codec {
 
   static constexpr bool flat = ops::flat_layout;
   // Can this layout's sealed blocks travel as raw payloads?
-  static constexpr bool raw_blocks = [] {
-    if constexpr (flat) {
-      return lstore::raw_payload;
-    } else {
-      return true;  // coded blocks are raw by construction
-    }
-  }();
+  static constexpr bool raw_blocks = lstore::raw_payload;
   // The ABI stamp pins sizeof(entry_t) wherever kFlatRaw records can occur,
   // so a stream written by one build cannot be misread by another.
   static constexpr uint16_t entry_abi =

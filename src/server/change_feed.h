@@ -94,11 +94,17 @@ class change_feed {
 
   // Recover (or bootstrap) a subscriber: the latest full snapshot plus its
   // version; the cursor moves there, so the next poll streams only changes
-  // committed after this snapshot.
+  // committed after this snapshot. On a store that has captured nothing yet
+  // this captures the base version itself: cursor 0 means "never rebased",
+  // so handing it out would make the next poll report lag.
   std::pair<snapshot_type, uint64_t> rebase(subscription& sub) const {
-    auto [snap, v] = store_.snapshot_latest();
-    sub.cursor_ = v;
-    return {std::move(snap), v};
+    auto base = store_.snapshot_latest();
+    if (base.second == 0) {
+      auto c = store_.capture_snapshot();
+      base = {std::move(c.snapshot), c.version};
+    }
+    sub.cursor_ = base.second;
+    return base;
   }
 
   store_type& store() const { return store_; }

@@ -23,8 +23,6 @@
 // safe to call from any thread.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,7 +30,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,7 +41,6 @@
 #include "server/version_store.h"
 #include "server/write_combiner.h"
 #include "store/durability.h"
-#include "util/env.h"
 #include "util/thread_annotations.h"
 
 namespace pam {
@@ -58,40 +54,13 @@ class kv_store {
   using entry_t = typename Map::entry_t;
   using snapshot_type = sharded_snapshot<Map>;
 
-  // Skew-adaptive resharding policy (sharded_map::maybe_rebalance), driven
-  // by a background thread. Disabled unless the interval is positive; the
-  // env-gated defaults mean an operator can turn it on per process with
-  // PAM_REBALANCE_INTERVAL_MS alone, no code change.
-  struct rebalance_options {
-    // Policy tick period; zero (the default) disables the thread entirely.
-    std::chrono::milliseconds interval{0};
-    // A policy window must observe at least this many routed write ops
-    // before it judges skew (quiet windows are ignored, not accumulated).
-    uint64_t min_ops = 4096;
-    // Trigger when the hottest shard carries more than this multiple of
-    // the mean per-shard load.
-    double hot_ratio = 2.0;
-
-    bool enabled() const { return interval.count() > 0; }
-
-    static rebalance_options from_env() {
-      rebalance_options o;
-      o.interval = std::chrono::milliseconds(
-          env_long("PAM_REBALANCE_INTERVAL_MS", 0));
-      o.min_ops =
-          static_cast<uint64_t>(env_long("PAM_REBALANCE_MIN_OPS", 4096));
-      o.hot_ratio = env_double("PAM_REBALANCE_RATIO", 2.0);
-      return o;
-    }
-  };
-
   struct options {
     // Shard count for quantile partitioning of `initial`. Quantiles can
     // only be inferred from existing keys: an empty initial map collapses
     // to ONE shard (no write parallelism until a rebalance observes enough
-    // keys to split; see `rebalance`) — a fresh store should set
-    // `splitters` instead, or enable rebalancing. Either way num_shards is
-    // recorded as the target the rebalancer re-splits toward.
+    // keys to split; see sharded_map::maybe_rebalance) — a fresh store
+    // should set `splitters` instead. Either way num_shards is recorded as
+    // the target a rebalance re-splits toward.
     size_t num_shards = 16;
     // Explicit shard splitters; when non-empty they take precedence over
     // num_shards (S-1 splitters make S shards).
@@ -110,9 +79,6 @@ class kv_store {
     // immediately commits a full checkpoint of the initial contents (the
     // splitters are durable from the first instant).
     std::optional<store::durability_options> durability{};
-    // Background skew-adaptive resharding. The default reads the
-    // PAM_REBALANCE_* knobs (off unless PAM_REBALANCE_INTERVAL_MS > 0).
-    rebalance_options rebalance = rebalance_options::from_env();
   };
 
   explicit kv_store(Map initial = Map{}, options opt = {})
@@ -126,13 +92,7 @@ class kv_store {
                      : nullptr),
         combiner_(shards_, wire_sink(std::move(opt.combiner))) {
     init_history(opt);
-    init_rebalancer(opt.rebalance);
   }
-
-  // Stops the rebalancer before any member tears down (the thread holds a
-  // reference to shards_); the members then destroy in declaration-reverse
-  // order per the teardown contract below.
-  ~kv_store() { stop_rebalancer(); }
 
   // ------------------------------------------------------------- writes --
 
@@ -346,34 +306,6 @@ class kv_store {
             rec.next_seq)),
         combiner_(shards_, wire_sink(std::move(opt.combiner))) {
     init_history(opt);
-    init_rebalancer(opt.rebalance);
-  }
-
-  void init_rebalancer(const rebalance_options& ro) {
-    if (!ro.enabled()) return;
-    reb_opts_ = ro;
-    rebalancer_ = std::thread([this] { rebalancer_loop(); });
-  }
-
-  void stop_rebalancer() {
-    if (!rebalancer_.joinable()) return;
-    {
-      mutex_guard lock(reb_mu_);
-      reb_stop_ = true;
-    }
-    reb_cv_.notify_all();
-    rebalancer_.join();
-  }
-
-  void rebalancer_loop() {
-    unique_guard lock(reb_mu_);
-    while (!reb_stop_) {
-      reb_cv_.wait_for(lock, reb_opts_.interval);
-      if (reb_stop_) break;
-      lock.unlock();
-      shards_.maybe_rebalance(reb_opts_.hot_ratio, reb_opts_.min_ops);
-      lock.lock();
-    }
   }
 
   void init_history(const options& opt) {
@@ -469,14 +401,6 @@ class kv_store {
   mutable mutex gauges_mu_;
   mutable std::vector<std::unique_ptr<obs::gauge>> shard_gauges_
       PAM_GUARDED_BY(gauges_mu_);
-
-  // Background rebalance policy thread, declared last: the dtor body joins
-  // it before any member above begins teardown.
-  rebalance_options reb_opts_{};
-  mutex reb_mu_;
-  std::condition_variable_any reb_cv_;
-  bool reb_stop_ PAM_GUARDED_BY(reb_mu_) = false;
-  std::thread rebalancer_;
 };
 
 }  // namespace pam

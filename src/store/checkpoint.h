@@ -49,41 +49,22 @@
 #include "server/sharded_map.h"
 #include "store/crc32c.h"
 #include "store/file.h"
-#include "util/env.h"
 
 namespace pam::store {
 
-// ------------------------------------------------------------ env config --
+// ---------------------------------------------------------------- config --
 
-// All knobs ride the validated env parsers (util/env.h): trailing garbage
-// and ERANGE fall back to the default, then clamp to the sane range.
 struct ckpt_config {
-  // Target page payload size (PAM_CKPT_PAGE_BYTES, clamped to
-  // [4 KiB, 64 MiB]): bounds how much data one torn page can poison.
+  // Target page payload size: bounds how much data one torn page can
+  // poison.
   size_t page_bytes = size_t{1} << 20;
-  // Force a full checkpoint after this many incrementals
-  // (PAM_CKPT_MAX_CHAIN, >= 1): bounds recovery's apply chain.
+  // Force a full checkpoint after this many incrementals (>= 1): bounds
+  // recovery's apply chain.
   long max_chain = 8;
   // Write a full checkpoint when the delta stream exceeds this fraction of
-  // the last full checkpoint's bytes (PAM_CKPT_INCR_RATIO, in [0, 1]):
-  // past that point replaying the delta saves nothing.
+  // the last full checkpoint's bytes (in [0, 1]): past that point replaying
+  // the delta saves nothing.
   double incr_max_ratio = 0.5;
-
-  static ckpt_config from_env() {
-    ckpt_config c;
-    long pb = env_long("PAM_CKPT_PAGE_BYTES", static_cast<long>(c.page_bytes));
-    if (pb < 4 * 1024) pb = 4 * 1024;
-    if (pb > 64 * 1024 * 1024) pb = 64 * 1024 * 1024;
-    c.page_bytes = static_cast<size_t>(pb);
-    long mc = env_long("PAM_CKPT_MAX_CHAIN", c.max_chain);
-    if (mc < 1) mc = 1;
-    c.max_chain = mc;
-    double r = env_double("PAM_CKPT_INCR_RATIO", c.incr_max_ratio);
-    if (r < 0.0) r = 0.0;
-    if (r > 1.0) r = 1.0;
-    c.incr_max_ratio = r;
-    return c;
-  }
 };
 
 // ---------------------------------------------------------- page framing --

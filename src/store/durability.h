@@ -75,8 +75,8 @@ inline recovery_metrics_t& recovery_metrics() {
 
 struct durability_options {
   std::string dir;
-  wal_config wal = wal_config::from_env();
-  ckpt_config ckpt = ckpt_config::from_env();
+  wal_config wal{};
+  ckpt_config ckpt{};
   std::shared_ptr<file_system> io = posix_fs();
 };
 

@@ -45,35 +45,19 @@
 #include "pam/pam.h"
 #include "store/crc32c.h"
 #include "store/file.h"
-#include "util/env.h"
 #include "util/thread_annotations.h"
 
 namespace pam::store {
 
-// ------------------------------------------------------------ env config --
+// ---------------------------------------------------------------- config --
 
-// Both knobs ride the validated env parsers (util/env.h): trailing garbage
-// and out-of-range values fall back to the default, then clamp.
 struct wal_config {
-  // Rotate the active segment past this many bytes (PAM_WAL_SEGMENT_BYTES,
-  // clamped to >= 64 KiB so rotation stays off the hot path).
+  // Rotate the active segment past this many bytes.
   size_t segment_bytes = size_t{4} << 20;
-  // Group fsync: sync once every N appends (PAM_WAL_SYNC_EVERY, >= 1).
-  // Callers needing a hard ack call sync() themselves; 1 means every
-  // record is durable before append returns.
+  // Group fsync: sync once every N appends (>= 1). Callers needing a hard
+  // ack call sync() themselves; 1 means every record is durable before
+  // append returns.
   long sync_every = 1;
-
-  static wal_config from_env() {
-    wal_config c;
-    long seg = env_long("PAM_WAL_SEGMENT_BYTES",
-                        static_cast<long>(c.segment_bytes));
-    if (seg < 64 * 1024) seg = 64 * 1024;
-    c.segment_bytes = static_cast<size_t>(seg);
-    long n = env_long("PAM_WAL_SYNC_EVERY", c.sync_every);
-    if (n < 1) n = 1;
-    c.sync_every = n;
-    return c;
-  }
 };
 
 // ----------------------------------------------------------- wal framing --

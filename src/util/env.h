@@ -1,16 +1,21 @@
-// Environment-variable knobs shared by tests and benchmarks.
+// Environment-variable knobs: the validated parsers and the catalogue of
+// every PAM_* knob in the tree.
 //
-//   PAM_NUM_WORKERS  number of scheduler workers (default: all hardware threads)
-//   PAM_BENCH_SCALE  multiplies every default benchmark size (default 1.0);
-//                    the paper's 10^8..10^10-scale experiments are scaled to
-//                    laptop sizes by default and can be grown back with this.
+// The library reads two knobs: PAM_NUM_WORKERS (scheduler worker count,
+// default all hardware threads) and PAM_TRACE (start with trace recording
+// on). Everything else steers benchmarks: PAM_BENCH_SCALE multiplies every
+// default benchmark size (the paper's 10^8..10^10-scale experiments are
+// scaled to laptop sizes by default and can be grown back with it), and
+// the rest name output files or acceptance gates. Library settings a
+// caller may want to change are struct fields or setters
+// (durability_options, set_leaf_block_size), not environment knobs.
 //
-// Every PAM_* knob in the tree is listed in env_knobs() below — the central
-// catalogue benches dump for config provenance (a BENCH_*.json row is
-// meaningless without the knob values that produced it). Adding a knob
-// anywhere in the tree means adding its row here: pam_lint's env-catalogue
-// rule greps every source for PAM_* reads and fails on any knob missing
-// from this table; test_util asserts the table's own invariants.
+// env_knobs() below is the central catalogue benches dump for config
+// provenance (a BENCH_*.json row is meaningless without the knob values
+// that produced it). Adding a knob anywhere in the tree means adding its
+// row here: pam_lint's env-catalogue rule greps every source for PAM_*
+// reads and fails on any knob missing from this table; test_util asserts
+// the table's own invariants.
 #pragma once
 
 #include <array>
@@ -76,27 +81,18 @@ struct env_knob {
 };
 
 // Every PAM_* environment knob in the tree. Kept sorted by name.
-inline const std::array<env_knob, 22>& env_knobs() {
-  static const std::array<env_knob, 22> knobs{{
+inline const std::array<env_knob, 12>& env_knobs() {
+  static const std::array<env_knob, 12> knobs{{
       {"PAM_BENCH_JSON", "bench", "(unset)",
        "append one JSON line per benchmark row to this file"},
       {"PAM_BENCH_SCALE", "bench", "1.0",
        "multiply every default benchmark size"},
-      {"PAM_CKPT_INCR_RATIO", "checkpoint", "0.5",
-       "escalate a delta to a full checkpoint past this fraction of the "
-       "last full's bytes"},
-      {"PAM_CKPT_MAX_CHAIN", "checkpoint", "8",
-       "max incremental checkpoints before a forced full"},
-      {"PAM_CKPT_PAGE_BYTES", "checkpoint", "1048576",
-       "checkpoint data file page size"},
       {"PAM_DIFF_GATE", "bench", "5.0",
        "fail bench_diff_incremental when the incremental diff is not this "
        "many times faster than a full rebuild"},
       {"PAM_DURABILITY_GATE", "bench", "0.30",
        "fail bench_durability when the 1% churn incremental checkpoint "
        "exceeds this fraction of the full checkpoint's bytes"},
-      {"PAM_LEAF_BLOCK", "tree", "32",
-       "entries per leaf block of the blocked tree"},
       {"PAM_METRICS_DUMP", "obs", "(unset)",
        "write the Prometheus-text metrics scrape to this file at bench exit"},
       {"PAM_NUM_WORKERS", "scheduler", "hardware threads",
@@ -108,21 +104,9 @@ inline const std::array<env_knob, 22>& env_knobs() {
       {"PAM_REBALANCE_GATE", "bench", "derated by machine size",
        "fail the skewed-YCSB bench when rebalanced throughput is not this "
        "many times the static-directory baseline"},
-      {"PAM_REBALANCE_INTERVAL_MS", "server", "0 (off)",
-       "kv_store rebalance policy tick period; positive enables the thread"},
-      {"PAM_REBALANCE_MIN_OPS", "server", "4096",
-       "min routed write ops per policy window before skew is judged"},
-      {"PAM_REBALANCE_RATIO", "server", "2.0",
-       "rebalance when the hottest shard exceeds this multiple of the mean "
-       "per-shard load"},
       {"PAM_TRACE", "obs", "0", "enable trace-span recording at startup"},
       {"PAM_TRACE_JSON", "obs", "(unset)",
        "write the Chrome-trace JSON dump to this file at bench exit"},
-      {"PAM_TRACE_RING", "obs", "4096",
-       "per-thread trace ring capacity in spans"},
-      {"PAM_WAL_SEGMENT_BYTES", "wal", "4194304",
-       "rotate the active WAL segment past this size"},
-      {"PAM_WAL_SYNC_EVERY", "wal", "1", "group-fsync once every N appends"},
       {"PAM_YCSB_GATE", "bench", "5.0",
        "fail YCSB when sharded write throughput is not this many times the "
        "single-box baseline"},

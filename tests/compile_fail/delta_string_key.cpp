@@ -2,7 +2,7 @@
 // only for integral keys — the encoding stores zigzag-varint successor
 // differences, which is meaningless for std::string (and front coding
 // already owns that shape). An entry policy that declares the delta layout
-// over a string key must be rejected by the delta_block static_assert with
+// over a string key must be rejected by the node_manager static_assert with
 // the contracted diagnostic, on every toolchain (this is front-end
 // enforcement, not clang thread-safety analysis).
 //

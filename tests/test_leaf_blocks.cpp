@@ -1,6 +1,6 @@
-// Blocked-leaf layer tests: the PAM_LEAF_BLOCK knob, block sharing across
-// snapshots and re-packs, layout switching mid-life (blocked trees keep
-// working after the knob changes), space accounting for the leaf pools,
+// Blocked-leaf layer tests: the leaf block size setting, block sharing
+// across snapshots and re-packs, layout switching mid-life (blocked trees
+// keep working after the size changes), space accounting for the leaf pools,
 // and the applications under small block sizes (which maximize the number
 // of block boundaries every query crosses).
 #include <gtest/gtest.h>

@@ -592,6 +592,68 @@ TEST(WireCodec, HugeRecordCountsAreWireErrors) {
   pam::set_leaf_block_size(saved_b);
 }
 
+// The on-disk bytes of coded leaf blocks, pinned: a block's raw region
+// (write_payload) and the one-block map stream around it must match hex
+// taken from an earlier build, so a refactor of the block store or its
+// codecs cannot silently change what checkpoints hold. The front-coded
+// keys are chosen so the key region ends on the value alignment (no pad).
+std::string hex(const std::vector<char>& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    auto u = static_cast<unsigned char>(c);
+    out += digits[u >> 4];
+    out += digits[u & 0xF];
+  }
+  return out;
+}
+
+template <typename Map>
+void expect_pinned_bytes(const std::vector<typename Map::entry_t>& es,
+                         const std::string& payload_hex,
+                         const std::string& stream_hex) {
+  using lstore = typename Map::ops::lstore;
+  auto* b = lstore::build(es.data(), static_cast<uint32_t>(es.size()));
+  std::vector<char> payload(lstore::payload_bytes(b));
+  lstore::write_payload(b, payload.data());
+  lstore::release(b);
+  EXPECT_EQ(hex(payload), payload_hex);
+  std::vector<char> stream;
+  Map::from_sorted(es).serialize(stream);
+  EXPECT_EQ(hex(stream), stream_hex);
+}
+
+TEST(WireCodec, CodedBlockBytesArePinned) {
+  size_t saved_b = pam::leaf_block_size();
+  pam::set_leaf_block_size(32);
+  // Stream header shared by all three: "PAM1" magic, then layout (1 front
+  // coded, 2 delta), host byte order, entry ABI 0.
+  expect_pinned_bytes<str_map>(
+      {{"alpha", 1}, {"alphabet", 2}, {"betamax", 300}, {"betas", 4}},
+      "070000000c00000015000000180000000000616c70686105006265740000626574616d"
+      "6178040073010000000000000002000000000000002c0100000000000004000000000000"
+      "00",
+      "50414d310101000004000000000000000100000003040000005000000068000000480000"
+      "00070000000c00000015000000180000000000616c70686105006265740000626574616d"
+      "6178040073010000000000000002000000000000002c0100000000000004000000000000"
+      "00");
+  // Signed keys and values: zigzag base key and differences, packed values.
+  expect_pinned_bytes<pam::aug_map<pam::delta_sum_entry<int64_t, int64_t>>>(
+      {{-5, 7}, {-3, -1}, {0, 300}, {1000, 0}, {1001, -70000}},
+      "090406d00f020e01d80400dfc508",
+      "50414d310201000005000000000000000100000003050000001600000"
+      "02e00000026000000090406d00f020e01d80400dfc508");
+  // Non-integral values ride a raw aligned array after a zero pad.
+  expect_pinned_bytes<pam::aug_map<pam::delta_map_entry<int32_t, double>>>(
+      {{-100, 0.5}, {-1, -2.25}, {2, 1e10}, {130, 3.0}},
+      "c701c6010680020000000000000000000000e03f00000000000002c0000000205fa00242"
+      "0000000000000840",
+      "50414d3102010000040000000000000001000000030400000034000000400000002000"
+      "0000c701c6010680020000000000000000000000e03f00000000000002c0000000205fa0"
+      "02420000000000000840");
+  pam::set_leaf_block_size(saved_b);
+}
+
 TEST(WireCodec, CrossEndianStreamRejected) {
   u64_map m;
   for (uint64_t k = 0; k < 100; k++) {
@@ -706,6 +768,22 @@ TEST(Durability, WalRecordHugeCountsAreWireErrors) {
                  pam::wire::error)
         << (huge_ups ? "n_ups" : "n_dels");
   }
+}
+
+// Durability settings have one channel, the option structs: their defaults
+// hold whatever the environment says.
+TEST(Durability, OptionsAreStructDefaults) {
+  ::setenv("PAM_WAL_SYNC_EVERY", "16", 1);
+  ::setenv("PAM_CKPT_MAX_CHAIN", "3", 1);
+  pam::store::durability_options opts{"dir"};
+  ::unsetenv("PAM_WAL_SYNC_EVERY");
+  ::unsetenv("PAM_CKPT_MAX_CHAIN");
+  EXPECT_EQ(opts.dir, "dir");
+  EXPECT_EQ(opts.wal.sync_every, 1);
+  EXPECT_EQ(opts.wal.segment_bytes, size_t{4} << 20);
+  EXPECT_EQ(opts.ckpt.page_bytes, size_t{1} << 20);
+  EXPECT_EQ(opts.ckpt.max_chain, 8);
+  EXPECT_DOUBLE_EQ(opts.ckpt.incr_max_ratio, 0.5);
 }
 
 TEST(Durability, RecoverOnEmptyDirectoryIsNullopt) {

@@ -7,8 +7,6 @@
 #include <set>
 #include <vector>
 
-#include "store/checkpoint.h"
-#include "store/wal.h"
 #include "util/env.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -181,79 +179,6 @@ TEST(Env, KnobValueReportsEnvironmentOrFallback) {
   ::setenv("PAM_TEST_ENV_KNOB", "12abc", 1);
   EXPECT_EQ(pam::env_knob_value(k), "12abc");
   ::unsetenv("PAM_TEST_ENV_KNOB");
-}
-
-// Durability knobs ride the same validated parsers: garbage and
-// out-of-range values fall back to the default, then clamp to sane bounds.
-TEST(Env, WalConfigKnobs) {
-  ::unsetenv("PAM_WAL_SEGMENT_BYTES");
-  ::unsetenv("PAM_WAL_SYNC_EVERY");
-  auto def = pam::store::wal_config::from_env();
-  EXPECT_EQ(def.segment_bytes, uint64_t{4} << 20);
-  EXPECT_EQ(def.sync_every, 1);
-
-  ::setenv("PAM_WAL_SEGMENT_BYTES", "131072", 1);
-  ::setenv("PAM_WAL_SYNC_EVERY", "16", 1);
-  auto set = pam::store::wal_config::from_env();
-  EXPECT_EQ(set.segment_bytes, uint64_t{131072});
-  EXPECT_EQ(set.sync_every, 16);
-
-  // Below the floor: clamped, not honored (a 1-byte segment would rotate
-  // on every record).
-  ::setenv("PAM_WAL_SEGMENT_BYTES", "1", 1);
-  ::setenv("PAM_WAL_SYNC_EVERY", "0", 1);
-  auto clamped = pam::store::wal_config::from_env();
-  EXPECT_EQ(clamped.segment_bytes, uint64_t{64} * 1024);
-  EXPECT_EQ(clamped.sync_every, 1);
-
-  // Trailing garbage: the validated parser rejects, default survives.
-  ::setenv("PAM_WAL_SEGMENT_BYTES", "1048576kb", 1);
-  ::setenv("PAM_WAL_SYNC_EVERY", "2x", 1);
-  auto bad = pam::store::wal_config::from_env();
-  EXPECT_EQ(bad.segment_bytes, uint64_t{4} << 20);
-  EXPECT_EQ(bad.sync_every, 1);
-
-  ::unsetenv("PAM_WAL_SEGMENT_BYTES");
-  ::unsetenv("PAM_WAL_SYNC_EVERY");
-}
-
-TEST(Env, CkptConfigKnobs) {
-  ::unsetenv("PAM_CKPT_PAGE_BYTES");
-  ::unsetenv("PAM_CKPT_MAX_CHAIN");
-  ::unsetenv("PAM_CKPT_INCR_RATIO");
-  auto def = pam::store::ckpt_config::from_env();
-  EXPECT_EQ(def.page_bytes, size_t{1} << 20);
-  EXPECT_EQ(def.max_chain, 8);
-  EXPECT_DOUBLE_EQ(def.incr_max_ratio, 0.5);
-
-  ::setenv("PAM_CKPT_PAGE_BYTES", "65536", 1);
-  ::setenv("PAM_CKPT_MAX_CHAIN", "3", 1);
-  ::setenv("PAM_CKPT_INCR_RATIO", "0.25", 1);
-  auto set = pam::store::ckpt_config::from_env();
-  EXPECT_EQ(set.page_bytes, size_t{65536});
-  EXPECT_EQ(set.max_chain, 3);
-  EXPECT_DOUBLE_EQ(set.incr_max_ratio, 0.25);
-
-  // Clamps: page floor 4 KiB / ceiling 64 MiB, chain >= 1, ratio in [0, 1].
-  ::setenv("PAM_CKPT_PAGE_BYTES", "16", 1);
-  ::setenv("PAM_CKPT_MAX_CHAIN", "0", 1);
-  ::setenv("PAM_CKPT_INCR_RATIO", "7.5", 1);
-  auto clamped = pam::store::ckpt_config::from_env();
-  EXPECT_EQ(clamped.page_bytes, size_t{4} * 1024);
-  EXPECT_EQ(clamped.max_chain, 1);
-  EXPECT_DOUBLE_EQ(clamped.incr_max_ratio, 1.0);
-
-  ::setenv("PAM_CKPT_PAGE_BYTES", "999999999999999999999999", 1);  // ERANGE
-  ::setenv("PAM_CKPT_MAX_CHAIN", "abc", 1);
-  ::setenv("PAM_CKPT_INCR_RATIO", "-0.5", 1);
-  auto bad = pam::store::ckpt_config::from_env();
-  EXPECT_EQ(bad.page_bytes, size_t{1} << 20);
-  EXPECT_EQ(bad.max_chain, 8);
-  EXPECT_DOUBLE_EQ(bad.incr_max_ratio, 0.0);  // parsed, then clamped up
-
-  ::unsetenv("PAM_CKPT_PAGE_BYTES");
-  ::unsetenv("PAM_CKPT_MAX_CHAIN");
-  ::unsetenv("PAM_CKPT_INCR_RATIO");
 }
 
 TEST(ScaledSize, RespectsScaleEnv) {

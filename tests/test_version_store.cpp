@@ -257,6 +257,30 @@ TEST(ChangeFeed, FreshSubscriptionMustRebaseFirst) {
   EXPECT_TRUE(feed.poll(sub).empty());
 }
 
+// A rebase that runs before the store's first capture (a subscriber
+// thread racing the checkpointer) must still hand out a retained base
+// version, so the next poll streams the following writes instead of
+// reporting lag.
+TEST(ChangeFeed, RebaseBeforeFirstCaptureStreamsLaterWrites) {
+  sharded_t sm(std::vector<K>{500});
+  store_t vs(sm);
+  feed_t feed(vs);
+  sm.insert(1, 1);
+  auto sub = feed.subscribe();
+  auto [snap, v] = feed.rebase(sub);
+  EXPECT_NE(v, 0u);
+  EXPECT_EQ(sub.version(), v);
+  EXPECT_EQ(snap.size(), 1u);
+
+  sm.insert(700, 7);
+  vs.capture();
+  auto b = feed.poll(sub);
+  EXPECT_FALSE(b.lagged);
+  ASSERT_EQ(b.changes.size(), 1u);
+  EXPECT_EQ(b.changes[0].key, 700u);
+  EXPECT_EQ(sub.version(), vs.latest_version());
+}
+
 // ------------------------------------------------------------- kv_store --
 
 TEST(KvStoreHistory, CheckpointDiffFeed) {
