@@ -1,6 +1,8 @@
 // Differential fuzzing: long randomized mixed-operation runs (point ops,
 // bulk ops, aug queries, range extraction) against a std::map oracle, with
-// full structural validation and leak accounting at every phase boundary.
+// full structural validation, a query battery (intersect, filters, range
+// extraction, one-sided aug queries) and leak accounting at every phase
+// boundary.
 // Parameterized over seeds; run for both the default weight-balanced scheme
 // and red-black (the scheme with the most intricate join).
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "pam/pam.h"
@@ -19,6 +22,148 @@ namespace {
 
 using K = uint64_t;
 using V = uint64_t;
+
+// Exact agreement of a map with an oracle: validity, entries in order, and
+// the cached sum augmentation.
+template <typename Map, typename Oracle>
+void expect_same(const Map& got, const Oracle& want) {
+  ASSERT_TRUE(got.check_valid());
+  ASSERT_EQ(got.size(), want.size());
+  auto es = got.entries();
+  size_t i = 0;
+  uint64_t sum = 0;
+  for (auto& [k, v] : want) {
+    ASSERT_EQ(es[i].first, k);
+    ASSERT_EQ(es[i].second, v);
+    sum += v;
+    i++;
+  }
+  ASSERT_EQ(got.aug_val(), sum);
+}
+
+// Count and value sum of the oracle entries with lo <= key <= hi (either
+// bound optional).
+template <typename Oracle, typename Key = typename Oracle::key_type>
+std::pair<size_t, uint64_t> oracle_range(const Oracle& o,
+                                         const std::type_identity_t<Key>* lo,
+                                         const std::type_identity_t<Key>* hi) {
+  size_t n = 0;
+  uint64_t sum = 0;
+  for (auto it = lo != nullptr ? o.lower_bound(*lo) : o.begin();
+       it != o.end() && (hi == nullptr || !(*hi < it->first)); ++it) {
+    n++;
+    sum += it->second;
+  }
+  return {n, sum};
+}
+
+// The entries of o with lo <= key <= hi (either bound optional).
+template <typename Oracle, typename Key = typename Oracle::key_type>
+Oracle oracle_slice(const Oracle& o, const std::type_identity_t<Key>* lo,
+                    const std::type_identity_t<Key>* hi) {
+  Oracle out;
+  for (auto it = lo != nullptr ? o.lower_bound(*lo) : o.begin();
+       it != o.end() && (hi == nullptr || !(*hi < it->first)); ++it)
+    out.insert(*it);
+  return out;
+}
+
+// The non-mutating query battery run at every phase boundary: intersect,
+// filter, aug_filter, range / up_to / down_to, aug_left, aug_project and
+// one-sided views, each against the oracle. Every result is built from (and
+// shares structure with) m, so the run's closing leak check covers them.
+template <typename Map, typename Oracle, typename KeyGen>
+void query_battery(const Map& m, const Oracle& oracle, pam::random_gen& g,
+                   const KeyGen& key_gen) {
+  using entry_t = typename Map::entry_t;
+  using Key = typename Oracle::key_type;
+  {
+    // Intersect with a random small map (mostly one-sided keys) and with a
+    // filtered copy of m (every key shared); values combine as a + 2b.
+    auto comb = [](V a, V b) { return a + 2 * b; };
+    size_t bn = g.next() % 200;
+    std::vector<entry_t> other(bn);
+    for (auto& e : other) e = {key_gen(g), g.next() % 1000};
+    Map om(other);
+    Oracle want;
+    for (auto& [k, v] : om.entries()) {
+      auto it = oracle.find(k);
+      if (it != oracle.end()) want[k] = comb(it->second, v);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(Map::map_intersect(m, om, comb), want));
+    auto even = [](const Key&, V v) { return v % 2 == 0; };
+    Oracle want_even;
+    for (auto& [k, v] : oracle) {
+      if (even(k, v)) want_even[k] = comb(v, v);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(
+        Map::map_intersect(m, Map::filter(m, even), comb), want_even));
+  }
+  {
+    // filter, and aug_filter with h(sum) = sum > 0 (h(a) || h(b) ==
+    // h(a + b) for unsigned sums) over a copy where most values are zero,
+    // so whole subtrees and blocks prune.
+    Oracle want;
+    for (auto& [k, v] : oracle) {
+      if (v % 3 != 0) want[k] = v;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(
+        Map::filter(m, [](const Key&, V v) { return v % 3 != 0; }), want));
+    Map sparse = Map::map_values(m, [](const Key&, V v) { return v < 50 ? v : V{0}; });
+    Oracle want_sparse;
+    for (auto& [k, v] : oracle) {
+      if (v > 0 && v < 50) want_sparse[k] = v;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(
+        Map::aug_filter(sparse, [](uint64_t a) { return a > 0; }), want_sparse));
+  }
+  auto g2 = [](uint64_t a) { return a % 7; };
+  auto f2 = [](uint64_t x, uint64_t y) { return (x + y) % 7; };
+  {
+    // Two-sided and one-sided range extraction and aug queries.
+    Key a = key_gen(g), b = key_gen(g);
+    Key lo = std::min(a, b), hi = std::max(a, b);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same(Map::range(m, lo, hi), oracle_slice(oracle, &lo, &hi)));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same(Map::up_to(m, hi), oracle_slice(oracle, nullptr, &hi)));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same(Map::down_to(m, lo), oracle_slice(oracle, &lo, nullptr)));
+    auto [n_range, s_range] = oracle_range(oracle, &lo, &hi);
+    auto [n_left, s_left] = oracle_range(oracle, nullptr, &hi);
+    auto [n_right, s_right] = oracle_range(oracle, &lo, nullptr);
+    ASSERT_EQ(m.aug_range(lo, hi), s_range);
+    ASSERT_EQ(m.aug_left(hi), s_left);
+    ASSERT_EQ(m.template aug_project<uint64_t>(g2, f2, 0, lo, hi), s_range % 7);
+    ASSERT_EQ(m.count_range(lo, hi), n_range);
+    auto up = m.view_up_to(hi);
+    ASSERT_EQ(up.size(), n_left);
+    ASSERT_EQ(up.aug_val(), s_left);
+    auto down = m.view_down_to(lo);
+    ASSERT_EQ(down.size(), n_right);
+    ASSERT_EQ(down.aug_val(), s_right);
+    auto all = m.view_all();
+    ASSERT_EQ(all.size(), oracle.size());
+    ASSERT_EQ(all.aug_val(), m.aug_val());
+  }
+  if (oracle.size() >= 3) {
+    // lo > hi with both bounds on present keys two apart: at every B >= 3
+    // they usually sit in one leaf block, where the in-block search finds
+    // the upper index before the lower one. Every query sees an empty range.
+    auto it = std::next(oracle.begin(),
+                        static_cast<std::ptrdiff_t>(g.next() % (oracle.size() - 2)));
+    Key hi = it->first;
+    Key lo = std::next(it, 2)->first;
+    Map r = Map::range(m, lo, hi);
+    ASSERT_TRUE(r.empty());
+    ASSERT_EQ(m.aug_range(lo, hi), 0u);
+    ASSERT_EQ(m.template aug_project<uint64_t>(g2, f2, 0, lo, hi), 0u);
+    ASSERT_EQ(m.count_range(lo, hi), 0u);
+    auto v = m.view(lo, hi);
+    ASSERT_EQ(v.size(), 0u);
+    ASSERT_EQ(v.aug_val(), 0u);
+  }
+}
 
 // The integer-key harness, parameterized over the entry policy (flat
 // sum_entry or the delta-coded mirror) and a strictly-monotone rank-to-key
@@ -188,6 +333,9 @@ void fuzz_run_impl(uint64_t seed, int phases, int ops_per_phase,
         ASSERT_EQ(view.size(), count);
         ASSERT_EQ(view.aug_val(), sum);
       }
+      ASSERT_NO_FATAL_FAILURE(query_battery(m, oracle, g, [&](pam::random_gen& kg) {
+        return key_of(kg.next() % kKeyRange);
+      }));
       for (size_t r = 0; r < retained.size(); r++) {
         ASSERT_EQ(retained[r].size(), retained_oracle[r].size()) << "version " << r;
         uint64_t expect = 0;
@@ -422,6 +570,9 @@ void fuzz_run_str(uint64_t seed, int phases, int ops_per_phase) {
         auto lst = view.last();
         ASSERT_EQ(lst.has_value(), count > 0);
       }
+      ASSERT_NO_FATAL_FAILURE(query_battery(m, oracle, g, [](pam::random_gen& kg) {
+        return str_key(kg.next() % kKeyRange);
+      }));
       for (size_t r = 0; r < retained.size(); r++) {
         ASSERT_EQ(retained[r].size(), retained_oracle[r].size()) << "version " << r;
         uint64_t expect = 0;
