@@ -26,15 +26,6 @@ struct aug_ops : map_ops<Entry, Balance> {
   using entry_t = typename MO::entry_t;
 
   using MO::aug_of;
-  using MO::dec;
-  using MO::expose_own;
-  using MO::is_chunk;
-  using MO::is_chunk_leaf;
-  using MO::join;
-  using MO::join2;
-  using MO::less;
-  using MO::lower_idx;
-  using MO::upper_idx;
 
   static_assert(true, "instantiating any member requires an augmented Entry");
 
@@ -42,75 +33,42 @@ struct aug_ops : map_ops<Entry, Balance> {
   // is cached at the root.
   static A aug_val(const node* t) { return aug_of(t); }
 
-  // Fold g over es[a, b) (the partial-block boundary case) with the same
-  // grouped fold that seals blocks (entry_traits.h).
-  static A fold_entries(const entry_t* es, size_t a, size_t b) {
-    return fold_entries_assoc<traits>(es, a, b);
+  // Aug policy of the range walk (tree_ops::walk): cached augmented values
+  // for whole subtrees and whole blocks; partial boundary blocks take the
+  // same grouped fold that seals blocks (entry_traits.h).
+  struct aug_sum {
+    using result = A;
+    static A empty() { return traits::identity(); }
+    static A whole(const node* t) { return aug_of(t); }
+    static A chunk(A l, const node* t, const entry_t* es, size_t i, size_t j,
+                   size_t c, A r) {
+      A acc = (i == 0 && j == c) ? t->blk->aug : fold_entries_assoc<traits>(es, i, j);
+      if (i == 0) acc = traits::combine(l, acc);
+      if (j == c) acc = traits::combine(acc, r);
+      return acc;
+    }
+    static A entry(A l, const node* t, A r) {
+      return traits::combine(l, traits::combine(traits::base(t->key, t->value), r));
+    }
+  };
+
+  // The augmented value of the entries with lo <= key <= hi, a null bound
+  // being absent. O(log n), allocation-free.
+  static A aug_between(const node* t, const K* lo, const K* hi) {
+    return MO::range_walk(t, lo, hi, aug_sum{});
   }
 
   // AUGLEFT(t, k): augmented value of all entries with key <= k
   // (paper Figure 2; its code includes the boundary key). O(log n).
-  static A aug_left(const node* t, const K& k) {
-    if (t == nullptr) return traits::identity();
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(k, es[0].first)) return aug_left(t->left, k);
-      size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      A own = pos == c ? t->blk->aug : fold_entries(es, 0, pos);
-      A acc = traits::combine(aug_of(t->left), own);
-      if (pos == c) acc = traits::combine(acc, aug_left(t->right, k));
-      return acc;
-    }
-    if (less(k, t->key)) return aug_left(t->left, k);
-    return traits::combine(
-        aug_of(t->left),
-        traits::combine(traits::base(t->key, t->value), aug_left(t->right, k)));
-  }
+  static A aug_left(const node* t, const K& k) { return aug_between(t, nullptr, &k); }
 
   // Augmented value of all entries with key >= k. O(log n).
-  static A aug_right(const node* t, const K& k) {
-    if (t == nullptr) return traits::identity();
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, k)) return aug_right(t->right, k);
-      size_t pos = lower_idx(es, c, k);  // entries [pos, c) are >= k
-      A own = pos == 0 ? t->blk->aug : fold_entries(es, pos, c);
-      A acc = traits::combine(own, aug_of(t->right));
-      if (pos == 0) acc = traits::combine(aug_right(t->left, k), acc);
-      return acc;
-    }
-    if (less(t->key, k)) return aug_right(t->right, k);
-    return traits::combine(
-        aug_right(t->left, k),
-        traits::combine(traits::base(t->key, t->value), aug_of(t->right)));
-  }
+  static A aug_right(const node* t, const K& k) { return aug_between(t, &k, nullptr); }
 
   // AUGRANGE(t, lo, hi): augmented value of entries with lo <= key <= hi,
   // equivalent to aug_val(range(t, lo, hi)) but O(log n) and allocation-free.
   static A aug_range(const node* t, const K& lo, const K& hi) {
-    if (t == nullptr) return traits::identity();
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, lo)) return aug_range(t->right, lo, hi);
-      if (less(hi, es[0].first)) return aug_range(t->left, lo, hi);
-      size_t i = lower_idx(es, c, lo);
-      size_t j = upper_idx(es, c, hi);
-      A mid = (i == 0 && j == c) ? t->blk->aug : fold_entries(es, i, j);
-      A acc = i == 0 ? traits::combine(aug_right(t->left, lo), mid) : mid;
-      if (j == c) acc = traits::combine(acc, aug_left(t->right, hi));
-      return acc;
-    }
-    if (less(t->key, lo)) return aug_range(t->right, lo, hi);
-    if (less(hi, t->key)) return aug_range(t->left, lo, hi);
-    return traits::combine(
-        aug_right(t->left, lo),
-        traits::combine(traits::base(t->key, t->value), aug_left(t->right, hi)));
+    return aug_between(t, &lo, &hi);
   }
 
   // AUGFILTER(t, h): equivalent to filter with h(g(k, v)) as the predicate,
@@ -119,121 +77,52 @@ struct aug_ops : map_ops<Entry, Balance> {
   // Work O(k log(n/k + 1)) for k survivors, span O(log^2 n).
   template <typename Pred>
   static node* aug_filter(node* t, const Pred& h) {
-    if (t == nullptr) return nullptr;
-    if (!h(t->aug)) {
-      dec(t);
-      return nullptr;
-    }
-    if (is_chunk_leaf(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      std::vector<entry_t> keep;
-      for (size_t i = 0; i < bv.size(); i++) {
-        if (h(traits::base(es[i].first, es[i].second))) keep.push_back(es[i]);
-      }
-      node* r = MO::build_sorted_seq(keep.data(), keep.size());
-      dec(t);
-      return r;
-    }
-    size_t n = t->size;
-    node *l, *m, *r;
-    expose_own(t, l, m, r);
-    node* l2 = nullptr;
-    node* r2 = nullptr;
-    par_do_if(
-        n >= par_cutoff(), [&] { l2 = aug_filter(l, h); },
-        [&] { r2 = aug_filter(r, h); });
-    if (h(traits::base(m->key, m->value))) return join(l2, m, r2);
-    dec(m);
-    return join2(l2, r2);
+    return MO::filter(
+        t, [&](const K& k, const auto& v) { return h(traits::base(k, v)); },
+        [&](const node* s) { return !h(s->aug); });
   }
 
   // AUGPROJECT(g2, f2, t, lo, hi) = g2(aug_range(t, lo, hi)), computed as the
-  // f2-sum of g2 over the O(log n) canonical subtrees covering [lo, hi].
+  // f2-sum of g2 over the O(log n) canonical subtrees covering [lo, hi]
+  // (whole blocks included; partial boundary blocks fold g2 per entry).
   // Requires f2(g2(a), g2(b)) == g2(f(a, b)) (paper Section 3); the point is
   // that g2 may project a large A (e.g. an inner map) down to a small B
   // without materializing f over inner structures.
   template <typename G2, typename F2, typename B>
   static B aug_project(const node* t, const G2& g2, const F2& f2, const B& id,
                        const K& lo, const K& hi) {
-    if (t == nullptr) return id;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, lo)) return aug_project(t->right, g2, f2, id, lo, hi);
-      if (less(hi, es[0].first)) return aug_project(t->left, g2, f2, id, lo, hi);
-      size_t i = lower_idx(es, c, lo);
-      size_t j = upper_idx(es, c, hi);
-      B left = i == 0 ? project_right(t->left, g2, f2, id, lo) : id;
-      B mid = fold_projected(es, i, j, g2, f2, id);
-      B right = j == c ? project_left(t->right, g2, f2, id, hi) : id;
-      return f2(f2(left, mid), right);
-    }
-    if (less(t->key, lo)) return aug_project(t->right, g2, f2, id, lo, hi);
-    if (less(hi, t->key)) return aug_project(t->left, g2, f2, id, lo, hi);
-    B left = project_right(t->left, g2, f2, id, lo);
-    B mid = g2(traits::base(t->key, t->value));
-    B right = project_left(t->right, g2, f2, id, hi);
-    return f2(f2(left, mid), right);
+    return MO::range_walk(t, &lo, &hi, projection<G2, F2, B>{g2, f2, id});
   }
 
  private:
+  // Projection policy of the range walk: g2 of cached augmented values,
+  // summed with f2.
   template <typename G2, typename F2, typename B>
-  static B fold_projected(const entry_t* es, size_t a, size_t b, const G2& g2,
-                          const F2& f2, const B& id) {
-    B acc = id;
-    for (size_t i = a; i < b; i++) {
-      acc = f2(acc, g2(traits::base(es[i].first, es[i].second)));
+  struct projection {
+    using result = B;
+    const G2& g2;
+    const F2& f2;
+    const B& id;
+    B empty() const { return id; }
+    B whole(const node* t) const { return t == nullptr ? id : g2(t->aug); }
+    B chunk(B l, const node* t, const entry_t* es, size_t i, size_t j, size_t c,
+            B r) const {
+      B acc = id;
+      if (i == 0 && j == c) {
+        acc = g2(t->blk->aug);
+      } else {
+        for (size_t x = i; x < j; x++) {
+          acc = f2(acc, g2(traits::base(es[x].first, es[x].second)));
+        }
+      }
+      if (i == 0) acc = f2(l, acc);
+      if (j == c) acc = f2(acc, r);
+      return acc;
     }
-    return acc;
-  }
-
-  // g2-projected sum over keys >= k.
-  template <typename G2, typename F2, typename B>
-  static B project_right(const node* t, const G2& g2, const F2& f2, const B& id,
-                         const K& k) {
-    if (t == nullptr) return id;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, k)) return project_right(t->right, g2, f2, id, k);
-      size_t pos = lower_idx(es, c, k);
-      B left = pos == 0 ? project_right(t->left, g2, f2, id, k) : id;
-      B mid = fold_projected(es, pos, c, g2, f2, id);
-      B right = t->right == nullptr ? id : g2(t->right->aug);
-      return f2(f2(left, mid), right);
+    B entry(B l, const node* t, B r) const {
+      return f2(f2(l, g2(traits::base(t->key, t->value))), r);
     }
-    if (less(t->key, k)) return project_right(t->right, g2, f2, id, k);
-    B left = project_right(t->left, g2, f2, id, k);
-    B mid = g2(traits::base(t->key, t->value));
-    B right = t->right == nullptr ? id : g2(t->right->aug);
-    return f2(f2(left, mid), right);
-  }
-
-  // g2-projected sum over keys <= k.
-  template <typename G2, typename F2, typename B>
-  static B project_left(const node* t, const G2& g2, const F2& f2, const B& id,
-                        const K& k) {
-    if (t == nullptr) return id;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(k, es[0].first)) return project_left(t->left, g2, f2, id, k);
-      size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      B left = t->left == nullptr ? id : g2(t->left->aug);
-      B mid = fold_projected(es, 0, pos, g2, f2, id);
-      B right = pos == c ? project_left(t->right, g2, f2, id, k) : id;
-      return f2(f2(left, mid), right);
-    }
-    if (less(k, t->key)) return project_left(t->left, g2, f2, id, k);
-    B left = t->left == nullptr ? id : g2(t->left->aug);
-    B mid = g2(traits::base(t->key, t->value));
-    B right = project_left(t->right, g2, f2, id, k);
-    return f2(f2(left, mid), right);
-  }
+  };
 };
 
 }  // namespace pam

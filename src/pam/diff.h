@@ -137,8 +137,8 @@ struct diff_ops : aug_ops<Entry, Balance> {
           after.push_back(eb);
         });
     diff_trees out;
-    out.before = TO::build_sorted_seq(before.data(), before.size());
-    out.after = TO::build_sorted_seq(after.data(), after.size());
+    out.before = TO::from_sorted_unique(before.data(), before.size());
+    out.after = TO::from_sorted_unique(after.data(), after.size());
     dec(a);
     dec(b);
     return out;

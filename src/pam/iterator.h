@@ -454,15 +454,13 @@ class range_view {
     return entry_t(*it);
   }
 
-  // Augmented value over the range: exactly aug_range / aug_left /
-  // aug_right / aug_val depending on which bounds are set. O(log n),
-  // allocation-free.
+  // Augmented value over the range: the range walk's aug policy over the
+  // bounds that are set (aug_range / aug_left / aug_right / aug_val).
+  // O(log n), allocation-free.
   A aug_val() const {
     static_assert(ops::traits::has_aug, "aug_val requires an augmented Entry");
-    if (lo_.has_value() && hi_.has_value()) return ops::aug_range(root_, *lo_, *hi_);
-    if (lo_.has_value()) return ops::aug_right(root_, *lo_);
-    if (hi_.has_value()) return ops::aug_left(root_, *hi_);
-    return ops::aug_val(root_);
+    return ops::aug_between(root_, lo_.has_value() ? &*lo_ : nullptr,
+                            hi_.has_value() ? &*hi_ : nullptr);
   }
 
   // ----------------------------------------------------------- traversal --

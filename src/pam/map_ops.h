@@ -52,13 +52,22 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   // --------------------------------------------------------- set algebra --
 
-  // UNION(a, b, comb): all keys of either map; a key in both gets
-  // comb(value_in_a, value_in_b). Consumes both. Work O(m log(n/m + 1)).
-  template <typename Comb>
-  static node* union_(node* a, node* b, const Comb& comb) {
-    if (a == nullptr) return b;
-    if (b == nullptr) return a;
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return union_blocks(a, b, comb);
+  // The one split-join recursion behind union, intersect and difference
+  // (paper Figure 2), selected by which of the three kinds of key it keeps:
+  // keys only in a (KeepA), only in b (KeepB), in both (KeepBoth; the
+  // value becomes comb(value_in_a, value_in_b)). Consumes both. Work
+  // O(m log(n/m + 1)); two leaf blocks meet in one sorted-array merge.
+  template <bool KeepA, bool KeepB, bool KeepBoth, typename Comb>
+  static node* merge(node* a, node* b, const Comb& comb) {
+    if (a == nullptr || b == nullptr) {
+      node* rest = a != nullptr ? a : b;
+      if (a != nullptr ? KeepA : KeepB) return rest;
+      dec(rest);
+      return nullptr;
+    }
+    if (is_chunk_leaf(a) && is_chunk_leaf(b)) {
+      return merge_blocks<KeepA, KeepB, KeepBoth>(a, b, comb);
+    }
     size_t total = size(a) + size(b);
     node *l2, *m2, *r2;
     expose_own(b, l2, m2, r2);
@@ -66,18 +75,40 @@ struct map_ops : tree_ops<Entry, Balance> {
     node* l = nullptr;
     node* r = nullptr;
     par_do_if(
-        total >= par_cutoff(), [&] { l = union_(sp.left, l2, comb); },
-        [&] { r = union_(sp.right, r2, comb); });
+        total >= par_cutoff(),
+        [&] { l = merge<KeepA, KeepB, KeepBoth>(sp.left, l2, comb); },
+        [&] { r = merge<KeepA, KeepB, KeepBoth>(sp.right, r2, comb); });
+    bool keep = sp.mid != nullptr ? KeepBoth : KeepB;
     if (sp.mid != nullptr) {
-      m2->value = comb(sp.mid->value, m2->value);
+      if constexpr (KeepBoth) m2->value = comb(sp.mid->value, m2->value);
       dec(sp.mid);
     }
-    return join(l, m2, r);
+    if (keep) return join(l, m2, r);
+    dec(m2);
+    return join2(l, r);
+  }
+
+  // UNION(a, b, comb): all keys of either map; a key in both gets
+  // comb(value_in_a, value_in_b). Consumes both.
+  template <typename Comb>
+  static node* union_(node* a, node* b, const Comb& comb) {
+    return merge<true, true, true>(a, b, comb);
   }
 
   // Plain union: on a duplicate key the second map's value wins.
   static node* union_(node* a, node* b) {
     return union_(a, b, [](const V&, const V& vb) { return vb; });
+  }
+
+  // INTERSECT(a, b, comb): keys in both maps, values combined by comb.
+  template <typename Comb>
+  static node* intersect(node* a, node* b, const Comb& comb) {
+    return merge<false, false, true>(a, b, comb);
+  }
+
+  // DIFFERENCE(a, b): entries of a whose key is not in b.
+  static node* difference(node* a, node* b) {
+    return merge<true, false, false>(a, b, [](const V& va, const V&) { return va; });
   }
 
   // One two-pointer merge over sorted unique runs, shared by every
@@ -107,103 +138,28 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   static const K& entry_key(const entry_t& e) { return e.first; }
 
-  // Block-at-a-time union base case: one sorted-array merge, then a
-  // balanced rebuild into fresh blocks.
-  template <typename Comb>
-  static node* union_blocks(node* a, node* b, const Comb& comb) {
+  // merge's block-at-a-time base case: one sorted-array merge keeping the
+  // selected kinds of key, then a balanced rebuild into fresh blocks.
+  template <bool KeepA, bool KeepB, bool KeepBoth, typename Comb>
+  static node* merge_blocks(node* a, node* b, const Comb& comb) {
     auto av = NM::read_block(a->blk);
     auto bv = NM::read_block(b->blk);
     std::vector<entry_t> out;
-    out.reserve(av.size() + bv.size());
+    out.reserve(av.size() + (KeepB ? bv.size() : 0));
     merge_runs(
         av.data(), av.size(), bv.data(), bv.size(), entry_key,
-        [&](const entry_t& e) { out.push_back(e); },
-        [&](const entry_t& e) { out.push_back(e); },
+        [&](const entry_t& e) {
+          if constexpr (KeepA) out.push_back(e);
+        },
+        [&](const entry_t& e) {
+          if constexpr (KeepB) out.push_back(e);
+        },
         [&](const entry_t& ea, const entry_t& eb) {
-          out.emplace_back(ea.first, comb(ea.second, eb.second));
+          if constexpr (KeepBoth) {
+            out.emplace_back(ea.first, comb(ea.second, eb.second));
+          }
         });
-    node* r = TO::build_sorted_seq(out.data(), out.size());
-    dec(a);
-    dec(b);
-    return r;
-  }
-
-  // INTERSECT(a, b, comb): keys in both maps, values combined by comb.
-  template <typename Comb>
-  static node* intersect(node* a, node* b, const Comb& comb) {
-    if (a == nullptr || b == nullptr) {
-      dec(a);
-      dec(b);
-      return nullptr;
-    }
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return intersect_blocks(a, b, comb);
-    size_t total = size(a) + size(b);
-    node *l2, *m2, *r2;
-    expose_own(b, l2, m2, r2);
-    auto sp = split(a, m2->key);
-    node* l = nullptr;
-    node* r = nullptr;
-    par_do_if(
-        total >= par_cutoff(), [&] { l = intersect(sp.left, l2, comb); },
-        [&] { r = intersect(sp.right, r2, comb); });
-    if (sp.mid != nullptr) {
-      m2->value = comb(sp.mid->value, m2->value);
-      dec(sp.mid);
-      return join(l, m2, r);
-    }
-    dec(m2);
-    return join2(l, r);
-  }
-
-  template <typename Comb>
-  static node* intersect_blocks(node* a, node* b, const Comb& comb) {
-    auto av = NM::read_block(a->blk);
-    auto bv = NM::read_block(b->blk);
-    std::vector<entry_t> out;
-    merge_runs(
-        av.data(), av.size(), bv.data(), bv.size(), entry_key,
-        [](const entry_t&) {}, [](const entry_t&) {},
-        [&](const entry_t& ea, const entry_t& eb) {
-          out.emplace_back(ea.first, comb(ea.second, eb.second));
-        });
-    node* r = TO::build_sorted_seq(out.data(), out.size());
-    dec(a);
-    dec(b);
-    return r;
-  }
-
-  // DIFFERENCE(a, b): entries of a whose key is not in b.
-  static node* difference(node* a, node* b) {
-    if (a == nullptr) {
-      dec(b);
-      return nullptr;
-    }
-    if (b == nullptr) return a;
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return difference_blocks(a, b);
-    size_t total = size(a) + size(b);
-    node *l2, *m2, *r2;
-    expose_own(b, l2, m2, r2);
-    auto sp = split(a, m2->key);
-    node* l = nullptr;
-    node* r = nullptr;
-    par_do_if(
-        total >= par_cutoff(), [&] { l = difference(sp.left, l2); },
-        [&] { r = difference(sp.right, r2); });
-    if (sp.mid != nullptr) dec(sp.mid);
-    dec(m2);
-    return join2(l, r);
-  }
-
-  static node* difference_blocks(node* a, node* b) {
-    auto av = NM::read_block(a->blk);
-    auto bv = NM::read_block(b->blk);
-    std::vector<entry_t> out;
-    out.reserve(av.size());
-    merge_runs(
-        av.data(), av.size(), bv.data(), bv.size(), entry_key,
-        [&](const entry_t& e) { out.push_back(e); },
-        [](const entry_t&) {}, [](const entry_t&, const entry_t&) {});
-    node* r = TO::build_sorted_seq(out.data(), out.size());
+    node* r = TO::from_sorted_unique(out.data(), out.size());
     dec(a);
     dec(b);
     return r;
@@ -211,11 +167,21 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   // -------------------------------------------------------------- filter --
 
-  // FILTER(t, pred): entries satisfying pred(k, v). Consumes t.
-  // Work O(n), span O(log^2 n) (paper Figure 2).
-  template <typename Pred>
-  static node* filter(node* t, const Pred& pred) {
+  // The default prune hook of filter: never drop a subtree unvisited.
+  struct no_prune {
+    bool operator()(const node*) const { return false; }
+  };
+
+  // FILTER(t, pred): entries satisfying pred(k, v). Consumes t. A subtree
+  // for which prune(subtree) holds is dropped without being visited (the
+  // hook aug_filter sets). Work O(n), span O(log^2 n) (paper Figure 2).
+  template <typename Pred, typename Prune = no_prune>
+  static node* filter(node* t, const Pred& pred, const Prune& prune = {}) {
     if (t == nullptr) return nullptr;
+    if (prune(t)) {
+      dec(t);
+      return nullptr;
+    }
     if (is_chunk_leaf(t)) {
       auto bv = NM::read_block(t->blk);
       const entry_t* es = bv.data();
@@ -223,7 +189,7 @@ struct map_ops : tree_ops<Entry, Balance> {
       for (size_t i = 0; i < bv.size(); i++) {
         if (pred(es[i].first, es[i].second)) keep.push_back(es[i]);
       }
-      node* r = TO::build_sorted_seq(keep.data(), keep.size());
+      node* r = TO::from_sorted_unique(keep.data(), keep.size());
       dec(t);
       return r;
     }
@@ -233,31 +199,14 @@ struct map_ops : tree_ops<Entry, Balance> {
     node* l2 = nullptr;
     node* r2 = nullptr;
     par_do_if(
-        n >= par_cutoff(), [&] { l2 = filter(l, pred); },
-        [&] { r2 = filter(r, pred); });
+        n >= par_cutoff(), [&] { l2 = filter(l, pred, prune); },
+        [&] { r2 = filter(r, pred, prune); });
     if (pred(m->key, m->value)) return join(l2, m, r2);
     dec(m);
     return join2(l2, r2);
   }
 
   // --------------------------------------------------------------- build --
-
-  // Balanced divide-and-conquer construction from sorted, duplicate-free
-  // entries (paper Figure 2, BUILD'). O(n) work after sorting. Bottoms out
-  // in whole leaf blocks when blocking is enabled.
-  static node* from_sorted_unique(const entry_t* a, size_t n) {
-    if (n == 0) return nullptr;
-    size_t B = leaf_block_size();
-    if (B >= 1 && n <= B) return TO::make_chunk_leaf(a, n);
-    size_t mid = TO::build_pivot(n, B);
-    node* m = make_single(a[mid].first, a[mid].second);
-    node* l = nullptr;
-    node* r = nullptr;
-    par_do_if(
-        n >= par_cutoff(), [&] { l = from_sorted_unique(a, mid); },
-        [&] { r = from_sorted_unique(a + mid + 1, n - mid - 1); });
-    return join(l, m, r);
-  }
 
   // BUILD(seq, comb): parallel sort by key, fold duplicate keys
   // left-to-right with comb, then balanced construction.
@@ -268,7 +217,7 @@ struct map_ops : tree_ops<Entry, Balance> {
                   [](const entry_t& x, const entry_t& y) { return less(x.first, y.first); });
     std::vector<entry_t> u = combine_sorted_runs(
         v, [](const K& x, const K& y) { return less(x, y); }, comb);
-    return from_sorted_unique(u.data(), u.size());
+    return TO::from_sorted_unique(u.data(), u.size());
   }
 
   static node* build(std::vector<entry_t> v) {
@@ -277,45 +226,67 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   // ---------------------------------------------- multi-insert / delete --
 
-  // MULTIINSERT over a sorted duplicate-free update array: split the array
-  // around the root key and recurse on both sides in parallel.
-  // Work O(m log(n/m + 1)) like union. A leaf block absorbs its updates in
-  // one array merge.
-  template <typename Comb>
-  static node* multi_insert_sorted(node* t, const entry_t* a, size_t n,
-                                   const Comb& comb) {
+  // The one sorted-batch recursion behind MULTIINSERT and MULTIDELETE: split
+  // the sorted duplicate-free batch around the root key and recurse on both
+  // sides in parallel. With Insert the batch holds entries, upserted (an
+  // existing entry gets comb(old, new)); without, it holds keys, removed.
+  // Work O(m log(n/m + 1)) like union. A leaf block absorbs its part of the
+  // batch in one array merge.
+  template <bool Insert, typename Item, typename Comb>
+  static node* apply_sorted(node* t, const Item* a, size_t n, const Comb& comb) {
+    auto key_of = [](const Item& x) -> const K& {
+      if constexpr (Insert) {
+        return x.first;
+      } else {
+        return x;
+      }
+    };
     if (n == 0) return t;
-    if (t == nullptr) return from_sorted_unique(a, n);
+    if (t == nullptr) {
+      if constexpr (Insert) return TO::from_sorted_unique(a, n);
+      return nullptr;
+    }
     if (is_chunk_leaf(t)) {
       auto tv = NM::read_block(t->blk);
       std::vector<entry_t> out;
-      out.reserve(tv.size() + n);
+      out.reserve(tv.size() + (Insert ? n : 0));
       merge_runs(
-          tv.data(), tv.size(), a, n, entry_key,
+          tv.data(), tv.size(), a, n, key_of,
           [&](const entry_t& e) { out.push_back(e); },
-          [&](const entry_t& e) { out.push_back(e); },
-          [&](const entry_t& old, const entry_t& upd) {
-            out.emplace_back(old.first, comb(old.second, upd.second));
+          [&](const Item& upd) {
+            if constexpr (Insert) out.push_back(upd);
+          },
+          [&](const entry_t& old, const Item& upd) {
+            if constexpr (Insert) {
+              out.emplace_back(old.first, comb(old.second, upd.second));
+            }
           });
-      node* r = from_sorted_unique(out.data(), out.size());
+      node* r = TO::from_sorted_unique(out.data(), out.size());
       dec(t);
       return r;
     }
     node *l, *m, *r;
     expose_own(t, l, m, r);
     size_t idx = std::lower_bound(a, a + n, m->key,
-                                  [](const entry_t& e, const K& k) {
-                                    return less(e.first, k);
+                                  [&](const Item& x, const K& k) {
+                                    return less(key_of(x), k);
                                   }) -
                  a;
-    bool hit = idx < n && !less(m->key, a[idx].first);
+    bool hit = idx < n && !less(m->key, key_of(a[idx]));
     node* nl = nullptr;
     node* nr = nullptr;
     par_do_if(
         size(l) + size(r) + n >= par_cutoff(),
-        [&] { nl = multi_insert_sorted(l, a, idx, comb); },
-        [&] { nr = multi_insert_sorted(r, a + idx + hit, n - idx - hit, comb); });
-    if (hit) m->value = comb(m->value, a[idx].second);
+        [&] { nl = apply_sorted<Insert>(l, a, idx, comb); },
+        [&] { nr = apply_sorted<Insert>(r, a + idx + hit, n - idx - hit, comb); });
+    if (hit) {
+      if constexpr (Insert) {
+        m->value = comb(m->value, a[idx].second);
+      } else {
+        dec(m);
+        return join2(nl, nr);
+      }
+    }
     return join(nl, m, nr);
   }
 
@@ -328,46 +299,12 @@ struct map_ops : tree_ops<Entry, Balance> {
                   [](const entry_t& x, const entry_t& y) { return less(x.first, y.first); });
     std::vector<entry_t> u = combine_sorted_runs(
         updates, [](const K& x, const K& y) { return less(x, y); }, comb);
-    return multi_insert_sorted(t, u.data(), u.size(), comb);
+    return apply_sorted<true>(t, u.data(), u.size(), comb);
   }
 
   static node* multi_insert(node* t, std::vector<entry_t> updates) {
     return multi_insert(t, std::move(updates),
                         [](const V&, const V& nv) { return nv; });
-  }
-
-  static node* multi_delete_sorted(node* t, const K* keys, size_t n) {
-    if (n == 0 || t == nullptr) return t;
-    if (is_chunk_leaf(t)) {
-      auto tv = NM::read_block(t->blk);
-      std::vector<entry_t> out;
-      out.reserve(tv.size());
-      merge_runs(
-          tv.data(), tv.size(), keys, n,
-          [](const K& k) -> const K& { return k; },
-          [&](const entry_t& e) { out.push_back(e); }, [](const K&) {},
-          [](const entry_t&, const K&) {});  // key present in both: deleted
-      node* r = TO::build_sorted_seq(out.data(), out.size());
-      dec(t);
-      return r;
-    }
-    node *l, *m, *r;
-    expose_own(t, l, m, r);
-    size_t idx = std::lower_bound(keys, keys + n, m->key,
-                                  [](const K& a, const K& b) { return less(a, b); }) -
-                 keys;
-    bool hit = idx < n && !less(m->key, keys[idx]);
-    node* nl = nullptr;
-    node* nr = nullptr;
-    par_do_if(
-        size(l) + size(r) + n >= par_cutoff(),
-        [&] { nl = multi_delete_sorted(l, keys, idx); },
-        [&] { nr = multi_delete_sorted(r, keys + idx + hit, n - idx - hit); });
-    if (hit) {
-      dec(m);
-      return join2(nl, nr);
-    }
-    return join(nl, m, nr);
   }
 
   static node* multi_delete(node* t, std::vector<K> keys) {
@@ -378,7 +315,9 @@ struct map_ops : tree_ops<Entry, Balance> {
                              return !less(a, b) && !less(b, a);
                            }),
                keys.end());
-    return multi_delete_sorted(t, keys.data(), keys.size());
+    return apply_sorted<false>(t, keys.data(), keys.size(), [](const V& v, const V&) {
+      return v;
+    });
   }
 
   // ----------------------------------------------------------- mapReduce --

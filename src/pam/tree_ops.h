@@ -172,17 +172,22 @@ struct tree_ops : node_manager<Entry, Balance> {
     return NM::make_chunk(lstore::build(es, static_cast<uint32_t>(n)));
   }
 
-  // Sequential balanced build from sorted unique entries. With blocking on,
-  // leaves are chunks and the left recursion takes whole blocks so most
-  // blocks come out full (the space experiments depend on this density).
-  static node* build_sorted_seq(const entry_t* es, size_t n) {
+  // Balanced divide-and-conquer construction from sorted, duplicate-free
+  // entries (paper Figure 2, BUILD'). O(n) work, forking above par_cutoff().
+  // With blocking on, leaves are chunks and the left recursion takes whole
+  // blocks so most blocks come out full (the space experiments depend on
+  // this density). Every path that turns an entry run into a tree uses it.
+  static node* from_sorted_unique(const entry_t* es, size_t n) {
     if (n == 0) return nullptr;
     size_t B = leaf_block_size();
     if (B >= 1 && n <= B) return make_chunk_leaf(es, n);
     size_t mid = build_pivot(n, B);
     node* m = make_single(es[mid].first, es[mid].second);
-    node* l = build_sorted_seq(es, mid);
-    node* r = build_sorted_seq(es + mid + 1, n - mid - 1);
+    node* l = nullptr;
+    node* r = nullptr;
+    par_do_if(
+        n >= par_cutoff(), [&] { l = from_sorted_unique(es, mid); },
+        [&] { r = from_sorted_unique(es + mid + 1, n - mid - 1); });
     return join(l, m, r);
   }
 
@@ -199,7 +204,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   // Reassemble l ++ es[a, b) ++ r into one owned tree (consumes l and r,
   // borrows es). The workhorse of every "open up a chunk" path.
   static node* rebuild(node* l, const entry_t* es, size_t a, size_t b, node* r) {
-    node* mid = b > a ? build_sorted_seq(es + a, b - a) : nullptr;
+    node* mid = b > a ? from_sorted_unique(es + a, b - a) : nullptr;
     return join2(join2(l, mid), r);
   }
 
@@ -422,7 +427,7 @@ struct tree_ops : node_manager<Entry, Balance> {
       }
     }
     // Coded blocks, overflow, or blocking now disabled: materialize and
-    // rebuild — build_sorted_seq re-encodes one block when nc <= B and
+    // rebuild — from_sorted_unique re-encodes one block when nc <= B and
     // splits into correctly sized blocks (or plain nodes) otherwise.
     std::vector<entry_t> tmp;
     tmp.reserve(nc);
@@ -433,7 +438,7 @@ struct tree_ops : node_manager<Entry, Balance> {
       tmp.emplace_back(k, v);
     }
     for (size_t j = pos + (hit ? 1 : 0); j < c; j++) tmp.push_back(es[j]);
-    node* nn = build_sorted_seq(tmp.data(), tmp.size());
+    node* nn = from_sorted_unique(tmp.data(), tmp.size());
     dec(t);
     return nn;
   }
@@ -472,7 +477,7 @@ struct tree_ops : node_manager<Entry, Balance> {
         for (size_t j = 0; j < c; j++) {
           if (j != pos) tmp.push_back(es[j]);
         }
-        nn = build_sorted_seq(tmp.data(), tmp.size());
+        nn = from_sorted_unique(tmp.data(), tmp.size());
       }
       dec(t);
       return nn;
@@ -673,69 +678,95 @@ struct tree_ops : node_manager<Entry, Balance> {
     return std::nullopt;
   }
 
-  // --------------------------------------------------- range extraction --
+  // ---------------------------------------------------------- range walk --
 
-  // All entries with key <= k (the paper's upTo). Borrows t, returns an
-  // owned tree that shares whole subtrees with t — O(log n) new nodes plus
-  // at most one re-packed boundary block.
-  static node* take_leq(const node* t, const K& k) {
-    if (t == nullptr) return nullptr;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(k, es[0].first)) return take_leq(t->left, k);
-      size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      if (pos == c) {
-        return join2(join2(inc(t->left), share_block(t)), take_leq(t->right, k));
+  // The one walk behind every range query (paper: upTo / downTo / range,
+  // AugLeft / AugRange / AugProject): the canonical O(log n) decomposition
+  // of [lo, hi] into whole subtrees, boundary blocks and boundary entries,
+  // folded by a policy P (result type P::result) with four hooks:
+  //   empty()                       the result of no entries;
+  //   whole(t)                      subtree t, entirely inside the range;
+  //   chunk(l, t, es, i, j, c, r)   chunk t's entries es[i, j) of c, with l
+  //                                 (r) the result left (right) of the
+  //                                 block, walked only when i == 0 (j == c);
+  //   entry(l, t, r)                plain node t between results l and r.
+  // HasLo / HasHi say which bounds exist, so each query compiles to its
+  // own specialized descent: once the walk passes a bound into a subtree,
+  // that subtree's bound check is compiled out. O(log n + B) plus the hooks.
+  template <bool HasLo, bool HasHi, typename P>
+  static typename P::result walk(const node* t, const K* lo, const K* hi,
+                                 const P& p) {
+    if constexpr (!HasLo && !HasHi) {
+      return p.whole(t);
+    } else {
+      if (t == nullptr) return p.empty();
+      if (is_chunk(t)) {
+        auto bv = NM::read_block(t->blk);
+        const entry_t* es = bv.data();
+        size_t c = bv.size();
+        if (HasLo && less(es[c - 1].first, *lo)) {
+          return walk<HasLo, HasHi>(t->right, lo, hi, p);
+        }
+        if (HasHi && less(*hi, es[0].first)) {
+          return walk<HasLo, HasHi>(t->left, lo, hi, p);
+        }
+        size_t i = HasLo ? lower_idx(es, c, *lo) : 0;
+        size_t j = HasHi ? upper_idx(es, c, *hi) : c;
+        if (j < i) return p.empty();  // lo > hi inside one block
+        typename P::result l =
+            i == 0 ? walk<HasLo, false>(t->left, lo, hi, p) : p.empty();
+        typename P::result r =
+            j == c ? walk<false, HasHi>(t->right, lo, hi, p) : p.empty();
+        return p.chunk(std::move(l), t, es, i, j, c, std::move(r));
       }
-      return rebuild(inc(t->left), es, 0, pos, nullptr);
+      if (HasLo && less(t->key, *lo)) return walk<HasLo, HasHi>(t->right, lo, hi, p);
+      if (HasHi && less(*hi, t->key)) return walk<HasLo, HasHi>(t->left, lo, hi, p);
+      typename P::result l = walk<HasLo, false>(t->left, lo, hi, p);
+      typename P::result r = walk<false, HasHi>(t->right, lo, hi, p);
+      return p.entry(std::move(l), t, std::move(r));
     }
-    if (less(k, t->key)) return take_leq(t->left, k);
-    return join(inc(t->left), make_single(t->key, t->value),
-                take_leq(t->right, k));
   }
 
-  // All entries with key >= k (the paper's downTo).
-  static node* take_geq(const node* t, const K& k) {
-    if (t == nullptr) return nullptr;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, k)) return take_geq(t->right, k);
-      size_t pos = lower_idx(es, c, k);  // entries [pos, c) are >= k
-      if (pos == 0) {
-        return join2(join2(take_geq(t->left, k), share_block(t)), inc(t->right));
-      }
-      return rebuild(nullptr, es, pos, c, inc(t->right));
+  // The walk over lo <= key <= hi, a null bound being absent.
+  template <typename P>
+  static typename P::result range_walk(const node* t, const K* lo, const K* hi,
+                                       const P& p) {
+    if (lo != nullptr && hi != nullptr) return walk<true, true>(t, lo, hi, p);
+    if (lo != nullptr) return walk<true, false>(t, lo, hi, p);
+    if (hi != nullptr) return walk<false, true>(t, lo, hi, p);
+    return walk<false, false>(t, lo, hi, p);
+  }
+
+  // Tree policy: an owned tree sharing whole subtrees (and whole covered
+  // blocks) with the source — O(log n) new nodes plus at most two re-packed
+  // boundary blocks.
+  struct take_tree {
+    using result = node*;
+    static node* empty() { return nullptr; }
+    static node* whole(const node* t) { return inc(const_cast<node*>(t)); }
+    static node* chunk(node* l, const node* t, const entry_t* es, size_t i,
+                       size_t j, size_t c, node* r) {
+      if (i == 0 && j == c) return join2(join2(l, share_block(t)), r);
+      return rebuild(l, es, i, j, r);
     }
-    if (less(t->key, k)) return take_geq(t->right, k);
-    return join(take_geq(t->left, k), make_single(t->key, t->value),
-                inc(t->right));
+    static node* entry(node* l, const node* t, node* r) {
+      return join(l, make_single(t->key, t->value), r);
+    }
+  };
+
+  // All entries with key <= k (the paper's upTo). Borrows t.
+  static node* take_leq(const node* t, const K& k) {
+    return range_walk(t, nullptr, &k, take_tree{});
+  }
+
+  // All entries with key >= k (the paper's downTo). Borrows t.
+  static node* take_geq(const node* t, const K& k) {
+    return range_walk(t, &k, nullptr, take_tree{});
   }
 
   // All entries with lo <= key <= hi. Borrows t.
   static node* range_copy(const node* t, const K& lo, const K& hi) {
-    if (t == nullptr) return nullptr;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, lo)) return range_copy(t->right, lo, hi);
-      if (less(hi, es[0].first)) return range_copy(t->left, lo, hi);
-      size_t i = lower_idx(es, c, lo);
-      size_t j = upper_idx(es, c, hi);
-      if (j < i) return nullptr;  // lo > hi can straddle a block: empty range
-      node* l = i == 0 ? take_geq(t->left, lo) : nullptr;
-      node* r = j == c ? take_leq(t->right, hi) : nullptr;
-      if (i == 0 && j == c) return join2(join2(l, share_block(t)), r);
-      return rebuild(l, es, i, j, r);
-    }
-    if (less(t->key, lo)) return range_copy(t->right, lo, hi);
-    if (less(hi, t->key)) return range_copy(t->left, lo, hi);
-    return join(take_geq(t->left, lo), make_single(t->key, t->value),
-                take_leq(t->right, hi));
+    return range_walk(t, &lo, &hi, take_tree{});
   }
 
   // ---------------------------------------------------------- validation --

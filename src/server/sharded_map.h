@@ -364,8 +364,7 @@ class sharded_map {
   // index-addressed callers (tests, gauges) get best-effort routing.
   size_t shard_of(const K& k) const {
     epoch::guard g;
-    const directory* d = dir_ref();
-    return server_internal::shard_index(*d->splitters, k, entry_policy::comp);
+    return key_router(k)(*dir_ref());
   }
 
   // ------------------------------------------------------------- writes --
@@ -377,26 +376,22 @@ class sharded_map {
   // directory-relative; key-routed callers use insert/erase/multi_*).
   template <typename F>
   void update_shard(size_t s, const F& f) {
-    for (;;) {
-      std::shared_ptr<shard_t> sh;
-      {
-        epoch::guard g;
-        const directory* d = dir_ref();
-        sh = d->shards[s < d->shards.size() ? s : d->shards.size() - 1];
-      }
-      sh->write_ops.fetch_add(1, std::memory_order_relaxed);
-      if (sh->box.update_if([&] { return !sh->retired(); }, f)) return;
-      server_internal::rebalance_metrics().writer_reroutes.inc();
-    }
+    route_write(
+        [s](const directory& d) {
+          return s < d.shards.size() ? s : d.shards.size() - 1;
+        },
+        f);
   }
 
   // Per-op point upsert/erase: one O(log n) committed write to the owning
   // shard. This is the slow path that write_combiner batches around.
   void insert(const K& k, const V& v) {
-    route_write(k, [&](Map m) { return Map::insert(std::move(m), k, v); });
+    route_write(key_router(k),
+                [&](Map m) { return Map::insert(std::move(m), k, v); });
   }
   void erase(const K& k) {
-    route_write(k, [&](Map m) { return Map::remove(std::move(m), k); });
+    route_write(key_router(k),
+                [&](Map m) { return Map::remove(std::move(m), k); });
   }
 
   // Bulk upsert: partition the batch by shard in O(m), then merge each
@@ -436,7 +431,7 @@ class sharded_map {
   };
 
   load_stats shard_loads() const {
-    dir_view d = view_dir();
+    directory d = view_dir();
     load_stats out;
     out.directory_gen = d.gen;
     out.write_ops.reserve(d.shards.size());
@@ -462,7 +457,7 @@ class sharded_map {
   //     started empty) and enough keys now exist to split.
   bool maybe_rebalance(double hot_ratio, uint64_t min_ops) {
     mutex_guard serialize(rebalance_mu_);
-    dir_view d = view_dir();
+    directory d = view_dir();
     const size_t S = d.shards.size();
     uint64_t total = 0, hottest = 0;
     size_t entries = 0;
@@ -659,15 +654,6 @@ class sharded_map {
     uint64_t gen = 0;
   };
 
-  // A pinned copy of the published directory, safe to use after the epoch
-  // guard it was taken under has dropped (shared_ptrs keep the splitters
-  // and shards alive even once the directory object itself is reclaimed).
-  struct dir_view {
-    std::shared_ptr<const std::vector<K>> splitters;
-    std::vector<std::shared_ptr<shard_t>> shards;
-    uint64_t gen = 0;
-  };
-
   // Optimistic cut attempts before falling back to blocking writers. Each
   // failed attempt costs O(S) pointer reads and refcount churn, so a small
   // budget keeps worst-case cut latency bounded without giving up the
@@ -690,24 +676,33 @@ class sharded_map {
     return dir_.load(std::memory_order_acquire);
   }
 
-  dir_view view_dir() const {
+  // A pinned copy of the published directory, safe to use after the epoch
+  // guard it was taken under has dropped (shared_ptrs keep the splitters
+  // and shards alive even once the directory object itself is reclaimed).
+  directory view_dir() const {
     epoch::guard g;
-    const directory* d = dir_ref();
-    return {d->splitters, d->shards, d->gen};
+    return *dir_ref();
   }
 
-  // Key-routed conditional write: resolve the owning shard under the epoch,
-  // pin it, commit under its writer lock unless a rebalance retired it —
-  // then re-resolve against the successor directory.
-  template <typename F>
-  void route_write(const K& k, const F& f) {
+  // The shard resolution of a key-routed write: k's owner in directory d.
+  static auto key_router(const K& k) {
+    return [&k](const directory& d) {
+      return server_internal::shard_index(*d.splitters, k, entry_policy::comp);
+    };
+  }
+
+  // Conditional single-shard write: resolve the shard (shard_of_dir maps a
+  // directory to an index) under the epoch, pin it, commit under its writer
+  // lock unless a rebalance retired it — then re-resolve against the
+  // successor directory.
+  template <typename ShardOfDir, typename F>
+  void route_write(const ShardOfDir& shard_of_dir, const F& f) {
     for (;;) {
       std::shared_ptr<shard_t> sh;
       {
         epoch::guard g;
         const directory* d = dir_ref();
-        sh = d->shards[server_internal::shard_index(*d->splitters, k,
-                                                    entry_policy::comp)];
+        sh = d->shards[shard_of_dir(*d)];
       }
       sh->write_ops.fetch_add(1, std::memory_order_relaxed);
       if (sh->box.update_if([&] { return !sh->retired(); }, f)) return;
@@ -724,7 +719,7 @@ class sharded_map {
   void bulk_write(std::vector<Item> items, const KeyOf& key_of,
                   const Apply& apply) {
     while (!items.empty()) {
-      dir_view d = view_dir();
+      directory d = view_dir();
       std::vector<std::vector<Item>> buckets(d.shards.size());
       for (Item& it : items) {
         size_t s = server_internal::shard_index(*d.splitters, key_of(it),
@@ -804,7 +799,7 @@ class sharded_map {
   template <typename Optimistic, typename Pinned>
   auto stable_cut(const Optimistic& optimistic, const Pinned& pinned) const {
     for (int attempt = 0; attempt < kDirRetries; attempt++) {
-      dir_view d = view_dir();
+      directory d = view_dir();
       auto cut = validated_cut(d.shards, optimistic, pinned);
       if (directory_gen() == d.gen) {
         return std::tuple(std::move(d), std::move(cut.first),
@@ -813,7 +808,7 @@ class sharded_map {
       server_internal::rebalance_metrics().cut_restarts.inc();
     }
     mutex_guard pin_directory(rebalance_mu_);
-    dir_view d = view_dir();
+    directory d = view_dir();
     auto cut = validated_cut(d.shards, optimistic, pinned);
     return std::tuple(std::move(d), std::move(cut.first),
                       std::move(cut.second));

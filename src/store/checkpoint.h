@@ -56,7 +56,8 @@ namespace pam::store {
 
 struct ckpt_config {
   // Target page payload size: bounds how much data one torn page can
-  // poison.
+  // poison. In [1, 2^32 - 1] (the page header stores the length as a u32);
+  // the durability manager rejects anything else.
   size_t page_bytes = size_t{1} << 20;
   // Force a full checkpoint after this many incrementals (>= 1): bounds
   // recovery's apply chain.

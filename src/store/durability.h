@@ -99,6 +99,10 @@ class durability {
   durability(durability_options opts, const snapshot_t& cut,
              uint64_t covered_seq = 0, uint64_t next_seq = 1)
       : opts_(std::move(opts)) {
+    if (opts_.ckpt.page_bytes == 0 || opts_.ckpt.page_bytes > UINT32_MAX) {
+      throw std::invalid_argument(
+          "ckpt_config::page_bytes must be in [1, 2^32 - 1]");
+    }
     opts_.io->mkdirs(opts_.dir);
     wal_ = std::make_unique<wal_writer>(opts_.io, opts_.dir, opts_.wal,
                                         next_seq);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -126,17 +127,28 @@ TEST(Scheduler, ManySmallParallelRegions) {
 
 TEST(Scheduler, ParallelSpeedupSmokeCheck) {
   // Not a benchmark: only verifies that the pool actually executes work on
-  // more than one thread (distinct worker ids observed inside a big loop).
+  // more than one thread at once. The two branches of one par_do meet at a
+  // rendezvous: each records its worker id and waits (bounded at 10 s)
+  // until both have started, which can only succeed if another worker
+  // stole the right branch while the left one was still running.
   if (pam::num_workers() < 2) GTEST_SKIP() << "single-core machine";
-  std::vector<std::atomic<uint8_t>> seen(static_cast<size_t>(pam::num_workers()));
-  pam::parallel_for(0, 1 << 18, [&](size_t) {
-    int id = pam::worker_id();
-    ASSERT_GE(id, 0);
-    seen[static_cast<size_t>(id)].store(1);
-  }, 256);
-  int distinct = 0;
-  for (auto& s : seen) distinct += s.load();
-  EXPECT_GE(distinct, 2);
+  std::atomic<int> started{0};
+  int left_id = -1, right_id = -1;
+  bool met = false;
+  auto arrive = [&](int& id) {
+    id = pam::worker_id();
+    started.fetch_add(1);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return started.load() == 2;
+  };
+  pam::par_do([&] { met = arrive(left_id); }, [&] { arrive(right_id); });
+  EXPECT_TRUE(met) << "the right branch never started while the left waited";
+  EXPECT_GE(left_id, 0);
+  EXPECT_GE(right_id, 0);
+  EXPECT_NE(left_id, right_id);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "pam/pam.h"
+#include "server/kv_store.h"
 #include "store/durability.h"
 #include "util/random.h"
 
@@ -784,6 +785,27 @@ TEST(Durability, OptionsAreStructDefaults) {
   EXPECT_EQ(opts.ckpt.page_bytes, size_t{1} << 20);
   EXPECT_EQ(opts.ckpt.max_chain, 8);
   EXPECT_DOUBLE_EQ(opts.ckpt.incr_max_ratio, 0.5);
+}
+
+// A page size of 0 cannot frame a stream and one past UINT32_MAX does not
+// fit the page header's u32 length: both are rejected before anything is
+// written, by the manager and by a durable kv_store that builds one.
+TEST(Durability, PageBytesOutOfRangeRejected) {
+  temp_dir td("pagebytes");
+  for (size_t bad : {size_t{0}, size_t{UINT32_MAX} + 1}) {
+    pam::store::durability_options opts;
+    opts.dir = td.path;
+    opts.ckpt.page_bytes = bad;
+    pam::sharded_map<u64_map> shards(u64_map{}, size_t{1});
+    EXPECT_THROW(pam::store::durability<u64_map>(opts, shards.snapshot_all()),
+                 std::invalid_argument)
+        << bad;
+    pam::kv_store<u64_map>::options kv;
+    kv.durability = opts;
+    EXPECT_THROW(pam::kv_store<u64_map>(u64_map{}, kv), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_NE(::access(td.path.c_str(), F_OK), 0) << "nothing may be created";
 }
 
 TEST(Durability, RecoverOnEmptyDirectoryIsNullopt) {
